@@ -64,6 +64,10 @@ class RunConfig:
     trajectories: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ConfigError(f"grid.dt must be positive, got {self.dt!r}")
+
 
 _KEYS = {
     "transfer.depth_A": ("depth_A", float),

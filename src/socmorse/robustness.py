@@ -15,10 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .dynamics_two_level import propagate, propagate_nonlinear
-from .errors import DomainError
+from .errors import DomainError, SocmorseError
 from .morse import matrix_elements
 from .numerics import OdeSettings
 from .pulse_design import PulseSchedule, TransferSpec
+
+# Failures a scan records per point before moving on.  Anything else is a
+# programming error and propagates rather than becoming a NaN point.
+_SCAN_FAILURES = (SocmorseError, FloatingPointError)
 
 __all__ = [
     "BlochState",
@@ -239,7 +243,7 @@ def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
         try:
             traj = prop(spec, me, schedule.with_channel_b_scaled(1.0 + lam), settings)
             fidelities[i] = traj.final_fidelity
-        except Exception as exc:  # recorded, scan continues
+        except _SCAN_FAILURES as exc:  # recorded, scan continues
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return ScanResult(
         parameter="lambda",
@@ -274,7 +278,7 @@ def scan_systematic_grid(spec: TransferSpec, schedule: PulseSchedule, lambdas,
             _, report = evolve(start.copy(), spec,
                                schedule.with_channel_b_scaled(1.0 + lam), dt=dt)
             fidelities[i] = report.final_fidelity
-        except Exception as exc:
+        except _SCAN_FAILURES as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return ScanResult(
         parameter="lambda",
@@ -298,7 +302,7 @@ def scan_noise(spec: TransferSpec, schedule: PulseSchedule, lambdas_prime,
         try:
             _, states = bloch_propagate(spec, schedule, lam, dt=dt)
             fidelities[i] = 0.5 * (1.0 - states[-1, 2])
-        except Exception as exc:
+        except _SCAN_FAILURES as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return ScanResult(
         parameter="lambda_prime",

@@ -125,6 +125,24 @@ class TestCommands:
         density = (out / "final_density.csv").read_text().splitlines()
         assert density[0] == "x,dens_up,dens_down,dens_target"
 
+    def test_simulate_grid_deterministic(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid.points = 1024\ngrid.dt = 0.002\n")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["simulate", "--engine", "grid", "--config", str(cfg),
+                         "--out-dir", str(out)]) == EXIT_OK
+        for name in ("grid_report.csv", "final_density.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_negative_grid_dt_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid.dt = -0.001\n")
+        code = main(["simulate", "--engine", "grid", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code != EXIT_OK
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_scan_grid_engine_rejected_for_noise(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("transfer.scheme = so_direction\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from socmorse.dynamics_grid import (
 from socmorse.dynamics_two_level import expectation_x, spin_polarization
 from socmorse.errors import ConfigError, DomainError
 from socmorse.morse import position_moment
+from socmorse.acceptance import G_EFFECTIVE
+from grid_reference import SERIES, reference_evolve
 from helpers import constant_schedule
 
 
@@ -144,6 +148,17 @@ class TestEvolution:
         with pytest.raises(DomainError):
             evolve(fld, ctx.spec_tilt, ctx.sched_raman)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": -1e-3},
+        {"dt": 0.0},
+        {"t_f": -1.0},
+        {"record_stride": 0},
+    ], ids=["negative_dt", "zero_dt", "negative_t_f", "zero_record_stride"])
+    def test_bad_stepping_arguments_rejected(self, ctx, kwargs):
+        fld = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
+        with pytest.raises(DomainError):
+            evolve(fld, ctx.spec_raman, ctx.sched_raman, **kwargs)
+
     def test_polarization_endpoints(self, ctx):
         rep = ctx.grid_run_small_gap[1]
         assert rep.Pz[0] == pytest.approx(1.0, abs=1e-9)
@@ -224,3 +239,49 @@ class TestCrossModelConsistency:
         _, _, pz = spin_polarization(ctx.twolevel_raman, ctx.me)
         assert rep.Pz[0] == pytest.approx(pz[0], abs=1e-9)
         assert rep.Pz[-1] == pytest.approx(pz[-1], abs=0.01)
+
+
+PARITY_CASES = {
+    "raman": lambda ctx: (ctx.spec_raman, ctx.sched_raman),
+    "so_direction": lambda ctx: (ctx.spec_tilt, ctx.sched_tilt),
+    "so_direction_interacting": lambda ctx: (ctx.spec_interacting, ctx.sched_compensated),
+    "raman_interacting": lambda ctx: (replace(ctx.spec_raman, **G_EFFECTIVE),
+                                      ctx.sched_raman),
+}
+PARITY_T_F = 1.0
+
+
+@pytest.fixture(scope="module")
+def reference_runs(ctx):
+    """Reference-stepper series per parity case, recorded at every step."""
+    cache = {}
+
+    def get(case):
+        if case not in cache:
+            spec, sched = PARITY_CASES[case](ctx)
+            fld = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
+            cache[case] = reference_evolve(fld, spec, sched, dt=1e-3, t_f=PARITY_T_F,
+                                           record_stride=1)
+        return cache[case]
+
+    return get
+
+
+class TestReferenceParity:
+    """The factorised, merged stepping loop against the plain per-half-step
+    loop in ``grid_reference``, at strides that record every step, do not
+    divide the step count, and record only the ends."""
+
+    @pytest.mark.parametrize("stride", [1, 7, 10**9])
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_series_match_reference(self, ctx, reference_runs, case, stride):
+        spec, sched = PARITY_CASES[case](ctx)
+        fld = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
+        _, rep = evolve(fld, spec, sched, dt=1e-3, t_f=PARITY_T_F, record_stride=stride)
+        times, ref = reference_runs(case)
+        nsteps = len(times) - 1
+        keep = [s for s in range(nsteps + 1) if s % stride == 0 or s == nsteps]
+        np.testing.assert_array_equal(rep.times, times[keep])
+        for name in SERIES:
+            np.testing.assert_allclose(getattr(rep, name), ref[name][keep],
+                                       rtol=0.0, atol=1e-10, err_msg=name)

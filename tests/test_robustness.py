@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_schedule
-from socmorse.errors import DomainError
+from socmorse.dynamics_grid import SpatialGrid
+from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.robustness import (
     BlochState,
     InteractionSplit,
@@ -116,7 +117,7 @@ class TestSystematicScan:
         def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("synthetic failure")
+                raise NumericalFailureError("synthetic failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rb, "propagate", flaky)
@@ -139,6 +140,49 @@ class TestSystematicScan:
                                    grid=SpatialGrid(points=1024), dt=2e-3)
         assert res.fidelities[0] == pytest.approx(0.979, abs=0.005)
         assert res.fidelities[1] < res.fidelities[0]
+
+
+SCANS = {
+    # scan name -> (module and function each scan point calls, the scan)
+    "systematic": ("socmorse.robustness", "propagate",
+                   lambda ctx: scan_systematic(ctx.spec_tilt, ctx.sched_tilt,
+                                               [-0.1, 0.0, 0.1])),
+    "noise": ("socmorse.robustness", "bloch_propagate",
+              lambda ctx: scan_noise(ctx.spec_tilt, ctx.sched_tilt, [0.0, 0.1, 0.2])),
+    "grid": ("socmorse.dynamics_grid", "evolve",
+             lambda ctx: scan_systematic_grid(ctx.spec_tilt, ctx.sched_tilt,
+                                              [-0.1, 0.0, 0.1],
+                                              grid=SpatialGrid(points=1024))),
+}
+
+
+class TestScanFailureHandling:
+    """Scans record physics failures per point, but a programming error in
+    the propagator surfaces instead of becoming a NaN point."""
+
+    @staticmethod
+    def _patch(monkeypatch, scan, exc):
+        module, name, run = SCANS[scan]
+
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"{module}.{name}", failing)
+        return run
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    def test_programming_error_propagates(self, ctx, monkeypatch, scan):
+        run = self._patch(monkeypatch, scan, TypeError("synthetic bug"))
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run(ctx)
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    def test_numerical_failure_recorded(self, ctx, monkeypatch, scan):
+        run = self._patch(monkeypatch, scan, NumericalFailureError("norm lost"))
+        res = run(ctx)
+        assert [i for i, _ in res.failures] == [0, 1, 2]
+        assert all(msg == "NumericalFailureError: norm lost" for _, msg in res.failures)
+        assert np.all(np.isnan(res.fidelities))
 
 
 class TestNoiseScan:
