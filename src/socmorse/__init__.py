@@ -26,7 +26,7 @@ from .morse import (
     position_moment,
     potential,
 )
-from .numerics import OdeSettings, QuadratureSpec, integrate, laguerre, log_gamma, ode_propagate
+from .numerics import OdeSettings, QuadratureSpec, integrate, laguerre, log_gamma
 from .pulse_design import (
     AdiabaticityWarning,
     PulseSchedule,
@@ -68,7 +68,6 @@ __all__ = [
     "laguerre",
     "log_gamma",
     "matrix_elements",
-    "ode_propagate",
     "overlap_Q",
     "position_moment",
     "potential",

@@ -20,9 +20,15 @@ import numpy as np
 from . import __version__
 from .dynamics_grid import SpatialGrid, density_profile, evolve, init_basis_state, target_state
 from .dynamics_two_level import expectation_x, propagate, propagate_nonlinear, spin_polarization
-from .errors import ConfigError, DesignInfeasibleError, NumericalFailureError, SocmorseError
+from .errors import (
+    ConfigError,
+    DesignInfeasibleError,
+    DomainError,
+    NumericalFailureError,
+    SocmorseError,
+)
 from .morse import MorseSpec, characteristic_length, matrix_elements, overlap_Q
-from .numerics import OdeSettings
+from .numerics import OdeSettings, write_csv
 from .pulse_design import (
     TransferSpec,
     design_scheme1,
@@ -164,7 +170,23 @@ def config_to_text(config: RunConfig) -> str:
 def build_transfer_spec(config: RunConfig) -> TransferSpec:
     """Transfer spec with effective interaction constants derived from the
     raw per-spin couplings; an all-zero interacting config defaults to the
-    raw value that makes the leading effective constant 0.3."""
+    raw value that makes the leading effective constant 0.3.  A value the
+    spec rejects is a configuration problem: :class:`ConfigError`."""
+    try:
+        return _transfer_spec(config)
+    except DomainError as exc:
+        raise ConfigError(f"bad transfer settings: {exc}") from exc
+
+
+def _build_grid(config: RunConfig) -> SpatialGrid:
+    """Spatial grid of the config; a rejected value is a :class:`ConfigError`."""
+    try:
+        return SpatialGrid(config.x_min, config.x_max, config.points)
+    except DomainError as exc:
+        raise ConfigError(f"bad grid settings: {exc}") from exc
+
+
+def _transfer_spec(config: RunConfig) -> TransferSpec:
     morse = MorseSpec(config.depth_A)
     raw = (config.g_uu, config.g_dd, config.g_ud, config.g_du)
     if config.scheme == "so_direction_interacting" and not any(raw):
@@ -200,14 +222,6 @@ def design_for_spec(spec: TransferSpec, sample_count: int):
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _write_csv(path, header, rows):
-    with open(str(path), "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    return str(path)
 
 
 class _Manifest:
@@ -345,17 +359,17 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
             "max_abs_a": schedule.max_abs_a,
         }
     elif engine == "grid":
-        grid = SpatialGrid(config.x_min, config.x_max, config.points)
+        grid = _build_grid(config)
         fld = init_basis_state(grid, spec.morse, spec.n, "up", spec.alpha)
         final, rep = evolve(fld, spec, schedule, dt=config.dt)
         path = rep.to_csv(os.path.join(out_dir, "grid_report.csv"))
         manifest.add_artifact(path)
         dens_up, dens_dn = density_profile(final)
         tgt_up, tgt_dn = density_profile(target_state(grid, spec))
-        dens_path = _write_csv(
+        dens_path = write_csv(
             os.path.join(out_dir, "final_density.csv"),
             "x,dens_up,dens_down,dens_target",
-            zip(grid.x, dens_up, dens_dn, tgt_up + tgt_dn),
+            (grid.x, dens_up, dens_dn, tgt_up + tgt_dn),
         )
         manifest.add_artifact(dens_path)
         fid = rep.final_fidelity
@@ -420,7 +434,7 @@ def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"
             if engine == "grid":
                 result = scan_systematic_grid(
                     cspec, schedule, values,
-                    grid=SpatialGrid(cfg.x_min, cfg.x_max, cfg.points),
+                    grid=_build_grid(cfg),
                     dt=cfg.dt)
             else:
                 result = scan_systematic(cspec, schedule, values,
@@ -434,14 +448,14 @@ def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"
                     oracle[i], oracle_se[i] = stochastic_oracle(
                         cspec, schedule, lam, trajectories=cfg.trajectories,
                         seed=(cfg.seed, i))
-                path = _write_csv(
+                path = write_csv(
                     os.path.join(out_dir, f"scan_noise{suffix}.csv"),
                     "lambda_prime,fidelity,oracle_fidelity,oracle_stderr",
-                    zip(values, result.fidelities, oracle, oracle_se),
+                    (values, result.fidelities, oracle, oracle_se),
                 )
                 manifest.add_artifact(path)
                 total += len(values)
-                failed += int(np.sum(~np.isfinite(result.fidelities)))
+                failed += len(result.failures)
                 continue
         else:
             raise ConfigError(f"unknown scan kind {kind!r}")
@@ -485,7 +499,7 @@ def cmd_reproduce(figure: str, out_dir):
         cols += [s.channel_a for s in schedules]
         cols += [schedules[0].channel_b]
         header = "t," + ",".join(f"Omega_alpha{a:g}" for a in alphas) + ",Delta"
-        path = _write_csv(os.path.join(out_dir, "fig2.csv"), header, zip(*cols))
+        path = write_csv(os.path.join(out_dir, "fig2.csv"), header, cols)
         manifest.add_artifact(path)
         spread = max(
             float(np.max(np.abs(s.channel_b - schedules[0].channel_b)))
@@ -499,17 +513,17 @@ def cmd_reproduce(figure: str, out_dir):
         if figure == "fig3":
             xev = expectation_x(traj, me)
             lc = characteristic_length(spec.morse)
-            path = _write_csv(
+            path = write_csv(
                 os.path.join(out_dir, "fig3.csv"),
                 "t,x_expect,x_expect_over_lc",
-                zip(traj.times[::10], xev[::10], xev[::10] / lc),
+                (traj.times[::10], xev[::10], xev[::10] / lc),
             )
         else:
             px, py, pz = spin_polarization(traj, me)
-            path = _write_csv(
+            path = write_csv(
                 os.path.join(out_dir, "fig4.csv"),
                 "t,Px,Py,Pz",
-                zip(traj.times[::10], px[::10], py[::10], pz[::10]),
+                (traj.times[::10], px[::10], py[::10], pz[::10]),
             )
             manifest.add_scalar("Pz_start", float(pz[0]))
             manifest.add_scalar("Pz_end", float(pz[-1]))
@@ -519,15 +533,15 @@ def cmd_reproduce(figure: str, out_dir):
             cfg = replace(config, c=c)
             spec = build_transfer_spec(cfg)
             _, sched = design_for_spec(spec, cfg.sample_count)
-            grid = SpatialGrid(cfg.x_min, cfg.x_max, cfg.points)
+            grid = _build_grid(cfg)
             fld = init_basis_state(grid, spec.morse, spec.n, "up", spec.alpha)
             final, rep = evolve(fld, spec, sched, dt=cfg.dt)
             dens_up, dens_dn = density_profile(final)
             tgt_up, tgt_dn = density_profile(target_state(grid, spec))
-            path = _write_csv(
+            path = write_csv(
                 os.path.join(out_dir, f"fig6{panel}.csv"),
                 "x,dens_up,dens_down,dens_target",
-                zip(grid.x, dens_up, dens_dn, tgt_up + tgt_dn),
+                (grid.x, dens_up, dens_dn, tgt_up + tgt_dn),
             )
             manifest.add_artifact(path)
             manifest.add_scalar(f"fidelity_c{c:g}", rep.final_fidelity)
@@ -537,11 +551,11 @@ def cmd_reproduce(figure: str, out_dir):
         me, sched_int = design_for_spec(ispec, cfg.sample_count)
         nspec = build_transfer_spec(_noninteracting_variant(cfg))
         _, sched_non = design_for_spec(nspec, cfg.sample_count)
-        path = _write_csv(
+        path = write_csv(
             os.path.join(out_dir, "fig7.csv"),
             "t,theta1,beta_noninteracting,beta_interacting",
-            zip(sched_non.times, sched_non.channel_a,
-                sched_non.channel_b, sched_int.channel_b),
+            (sched_non.times, sched_non.channel_a,
+             sched_non.channel_b, sched_int.channel_b),
         )
         manifest.add_artifact(path)
         manifest.add_scalar("max_abs_theta1", sched_non.max_abs_a)
@@ -555,19 +569,19 @@ def cmd_reproduce(figure: str, out_dir):
             vals = np.asarray(cfg.lambda_grid)
             r_non = scan_systematic(nspec, sched_non, vals, OdeSettings(step=cfg.dt))
             r_int = scan_systematic(ispec, sched_int, vals, OdeSettings(step=cfg.dt))
-            path = _write_csv(
+            path = write_csv(
                 os.path.join(out_dir, "fig8.csv"),
                 "lambda,fidelity_noninteracting,fidelity_interacting",
-                zip(vals, r_non.fidelities, r_int.fidelities),
+                (vals, r_non.fidelities, r_int.fidelities),
             )
         else:
             vals = np.asarray(cfg.lambda_prime_grid)
             r_non = scan_noise(nspec, sched_non, vals, dt=cfg.dt)
             r_int = scan_noise(ispec, sched_int, vals, dt=cfg.dt)
-            path = _write_csv(
+            path = write_csv(
                 os.path.join(out_dir, "fig9.csv"),
                 "lambda_prime,fidelity_noninteracting,fidelity_interacting",
-                zip(vals, r_non.fidelities, r_int.fidelities),
+                (vals, r_non.fidelities, r_int.fidelities),
             )
         manifest.add_artifact(path)
     else:

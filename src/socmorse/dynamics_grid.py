@@ -40,6 +40,7 @@ from scipy import fft as sp_fft
 
 from .errors import ConfigError, DomainError, NumericalFailureError
 from .morse import MorseSpec, eigenfunction, potential
+from .numerics import su2_exp, write_csv
 from .pulse_design import PulseSchedule, TransferSpec, raw_from_effective
 
 __all__ = [
@@ -132,13 +133,9 @@ class GridRunReport:
     settings: dict = field(default_factory=dict)
 
     def to_csv(self, path):
-        with open(str(path), "w", newline="\n") as fh:
-            fh.write("t,norm,x_expect,Px,Py,Pz,fidelity\n")
-            for i in range(len(self.times)):
-                row = (self.times[i], self.norm[i], self.x_expect[i],
-                       self.Px[i], self.Py[i], self.Pz[i], self.fidelity[i])
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        return str(path)
+        return write_csv(path, "t,norm,x_expect,Px,Py,Pz,fidelity",
+                         (self.times, self.norm, self.x_expect, self.Px, self.Py,
+                          self.Pz, self.fidelity))
 
 
 def _basis_profile(grid: SpatialGrid, morse: MorseSpec, n: int, spin: str,
@@ -205,15 +202,6 @@ def density_profile(fld: SpinorField):
     return np.abs(fld.up) ** 2, np.abs(fld.down) ** 2
 
 
-def _su2(dz, w, tau):
-    """Entries (u11, u12, u22) of exp(-i tau [[dz, w], [w, -dz]]), elementwise
-    over any broadcastable ``dz`` and ``w`` (real)."""
-    r = np.hypot(dz, w)
-    cos_r = np.cos(tau * r)
-    sinc_r = np.where(r > 0.0, np.sin(tau * r) / np.where(r > 0.0, r, 1.0), tau)
-    return cos_r - 1j * sinc_r * dz, -1j * sinc_r * w, cos_r + 1j * sinc_r * dz
-
-
 def _cis(angle):
     """exp(1j * angle) for a real array, from cos and sin (several times
     faster than numpy's complex exp)."""
@@ -226,10 +214,10 @@ def _cis(angle):
 def _position_half_step(psi, diag, w, tau):
     """exp(-i tau [[diag[0], w], [w, diag[1]]]) applied pointwise to the
     stacked spinor, for x-dependent diagonals and a real coupling ``w``."""
-    u11, u12, u22 = _su2(0.5 * (diag[0] - diag[1]), w, tau)
+    u11, u12, u21, u22 = su2_exp(0.5 * (diag[0] - diag[1]), w, tau)
     phase = np.exp(-0.5j * tau * (diag[0] + diag[1]))
     return phase * np.stack((u11 * psi[0] + u12 * psi[1],
-                             u12 * psi[0] + u22 * psi[1]))
+                             u21 * psi[0] + u22 * psi[1]))
 
 
 def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
@@ -319,8 +307,8 @@ def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
         def merged(i, psi):
             return half(i + 1, half(i, psi))
     else:
-        u11, u12, u22 = _su2(0.5 * gap_mid, w_mid, tau)
-        spin = np.array([[u11, u12], [u12, u22]]).transpose(2, 0, 1)
+        u11, u12, u21, u22 = su2_exp(0.5 * gap_mid, w_mid, tau)
+        spin = np.array([[u11, u12], [u21, u22]]).transpose(2, 0, 1)
         spin_merged = spin[1:] @ spin[:-1]
         u_phases = {halves: np.exp(-1j * (halves * tau) * u_pot) for halves in (1, 2)}
         if nonlinear:

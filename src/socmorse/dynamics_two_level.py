@@ -1,65 +1,40 @@
-"""Exact propagation in the reduced two-state basis.
+"""Exact propagation in the reduced two-state basis, and the one
+fixed-step integrator behind every reduced-model run.
 
 States live in the ordered basis (initial vibrational state with spin up,
-target state with spin down); the Hamiltonian is assembled from a designed
-schedule in its traceless symmetric form.  The mean-field variant adds the
-state-dependent diagonal and remains norm preserving because that diagonal
-is real.
+target state with spin down); the Hamiltonian comes from the schedule's
+:meth:`~socmorse.pulse_design.PulseSchedule.reduced_terms` in its traceless
+form.  The mean-field variant adds the state-dependent diagonal and remains
+norm preserving because that diagonal is real.
+
+:func:`rk4` steps a tuple of components that are Python scalars (one run)
+or ``(L,)`` arrays (one row per scan point, stepped together), with the
+drive tabulated once on the half-step node grid of :func:`half_step_nodes`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalFailureError
 from .morse import MatrixElements, characteristic_length
-from .numerics import OdeSettings
+from .numerics import OdeSettings, write_csv
 from .pulse_design import PulseSchedule, TransferSpec
 
 __all__ = [
-    "TwoLevelHamiltonian",
     "Trajectory",
-    "assemble_H",
+    "half_step_nodes",
+    "node_table",
+    "rk4",
+    "step_amplitudes",
     "propagate",
     "propagate_nonlinear",
     "spin_polarization",
     "expectation_x",
     "fidelity",
 ]
-
-
-@dataclass(frozen=True)
-class TwoLevelHamiltonian:
-    """Traceless symmetric form: diag(Z, -Z)/2 with off-diagonal (X + iY)/2."""
-
-    Z: float
-    X: float
-    Y: float
-
-    def matrix(self):
-        od = 0.5 * (self.X + 1j * self.Y)
-        return np.array([[0.5 * self.Z, od], [np.conj(od), -0.5 * self.Z]])
-
-
-def _offdiag_factor(spec: TransferSpec, coupling: complex):
-    """X + iY = amp(t) * factor; the Raman channel carries the 1/2 itself."""
-    if spec.scheme == "raman":
-        return coupling
-    return 2.0 * coupling
-
-
-def assemble_H(spec: TransferSpec, me: MatrixElements, schedule: PulseSchedule,
-               t: float) -> TwoLevelHamiltonian:
-    """Reduced Hamiltonian at time t from the schedule's channels."""
-    if not -1e-9 * spec.t_f <= t <= spec.t_f * (1 + 1e-9):
-        raise DomainError(f"t={t} outside the schedule range [0, {spec.t_f}]")
-    coupling = me.G if spec.scheme == "raman" else me.M_coupling
-    xy = schedule.a_at(t) * _offdiag_factor(spec, coupling)
-    z = spec.energy_n - spec.energy_l + schedule.b_at(t)
-    return TwoLevelHamiltonian(Z=float(z), X=float(np.real(xy)), Y=float(np.imag(xy)))
 
 
 @dataclass
@@ -93,70 +68,99 @@ class Trajectory:
         px, py, pz = spin_polarization(self, self.me)
         xev = expectation_x(self, self.me)
         lc = characteristic_length(self.spec.morse)
-        fid = self.fidelity_series()
-        with open(str(path), "w", newline="\n") as fh:
-            fh.write("t,re_c1,im_c1,re_c2,im_c2,Px,Py,Pz,"
-                     "x_expect,x_expect_over_lc,fidelity\n")
-            for i in range(0, len(self.times), stride):
-                c1, c2 = self.states[i]
-                row = (self.times[i], c1.real, c1.imag, c2.real, c2.imag,
-                       px[i], py[i], pz[i], xev[i], xev[i] / lc, fid[i])
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        return str(path)
+        c1, c2 = self.states[::stride].T
+        return write_csv(
+            path,
+            "t,re_c1,im_c1,re_c2,im_c2,Px,Py,Pz,x_expect,x_expect_over_lc,fidelity",
+            (self.times[::stride], c1.real, c1.imag, c2.real, c2.imag,
+             px[::stride], py[::stride], pz[::stride], xev[::stride],
+             xev[::stride] / lc, self.fidelity_series()[::stride]),
+        )
 
 
-def _channel_nodes(schedule: PulseSchedule, t_f: float, nsteps: int):
-    """Channel values on the RK4 half-step grid 0, dt/2, dt, ..."""
-    nodes = np.linspace(0.0, t_f, 2 * nsteps + 1)
-    return np.asarray(schedule.a_at(nodes), dtype=float), \
-        np.asarray(schedule.b_at(nodes), dtype=float)
+def half_step_nodes(t_f: float, step: float):
+    """``(nsteps, h, nodes)``: the number and size of fixed steps that cover
+    ``t_f`` nearest to ``step``, and the node grid 0, h/2, h, ..., t_f on
+    which :func:`rk4` evaluates the drive."""
+    nsteps = max(1, int(round(t_f / step)))
+    return nsteps, t_f / nsteps, np.linspace(0.0, t_f, 2 * nsteps + 1)
 
 
-def _rk4_two_level(spec, schedule, dt, initial, nonlinear):
-    nsteps = max(1, int(round(spec.t_f / dt)))
-    h = spec.t_f / nsteps
-    a_vals, b_vals = _channel_nodes(schedule, spec.t_f, nsteps)
-    split = spec.energy_n - spec.energy_l
-    z_vals = split + b_vals
-    # off-diagonal matrix element (X + iY)/2
-    od_vals = 0.5 * _offdiag_factor(spec, schedule.coupling) * a_vals
+def node_table(values):
+    """A drive table ready for per-node lookup: a 1-D table becomes a list
+    of Python scalars (much faster to index and to combine with scalar
+    states); a ``(nodes, L)`` table stays an array of rows."""
+    values = np.asarray(values)
+    return values.tolist() if values.ndim == 1 else values
 
-    g11, g22, g12, g21 = spec.g_effective if nonlinear else (0.0, 0.0, 0.0, 0.0)
 
-    def deriv(j, a1, a2):
-        z = z_vals[j]
-        od = od_vals[j]
-        h11 = 0.5 * z
-        h22 = -0.5 * z
-        if nonlinear:
-            p1 = a1.real * a1.real + a1.imag * a1.imag
-            p2 = a2.real * a2.real + a2.imag * a2.imag
-            h11 += g11 * p1 + g12 * p2
-            h22 += g21 * p1 + g22 * p2
-        d1 = -1j * (h11 * a1 + od * a2)
-        d2 = -1j * (od.conjugate() * a1 + h22 * a2)
-        return d1, d2
+def rk4(deriv, state, nsteps, h, stride=1):
+    """Classical fourth-order Runge-Kutta over ``nsteps`` steps of size h.
 
-    c1, c2 = complex(initial[0]), complex(initial[1])
-    states = np.empty((nsteps + 1, 2), dtype=complex)
-    states[0] = (c1, c2)
-    sixth = h / 6.0
+    ``deriv(j, *state)`` gives each component's derivative with the drive
+    at node j of the half-step grid (step i uses nodes 2i, 2i+1 and 2i+2).
+    Components may be scalars or equal-shape arrays.  Returns the step
+    numbers and state tuples at step 0, every ``stride``-th step and the
+    last step (only the first and last with ``stride=None``).
+    """
+    stride = stride or nsteps
+    half, sixth = 0.5 * h, h / 6.0
+    y = list(state)
+    steps, states = [0], [tuple(y)]
     for i in range(nsteps):
         j = 2 * i
-        k11, k12 = deriv(j, c1, c2)
-        k21, k22 = deriv(j + 1, c1 + 0.5 * h * k11, c2 + 0.5 * h * k12)
-        k31, k32 = deriv(j + 1, c1 + 0.5 * h * k21, c2 + 0.5 * h * k22)
-        k41, k42 = deriv(j + 2, c1 + h * k31, c2 + h * k32)
-        c1 = c1 + sixth * (k11 + 2.0 * (k21 + k31) + k41)
-        c2 = c2 + sixth * (k12 + 2.0 * (k22 + k32) + k42)
-        states[i + 1] = (c1, c2)
-        if not (math.isfinite(c1.real) and math.isfinite(c2.real)
-                and math.isfinite(c1.imag) and math.isfinite(c2.imag)):
-            raise NumericalFailureError(
-                f"non-finite amplitudes at t={(i + 1) * h:.6g}", time=(i + 1) * h
-            )
-    times = np.linspace(0.0, spec.t_f, nsteps + 1)
-    return times, states
+        k1 = deriv(j, *y)
+        k2 = deriv(j + 1, *[c + half * k for c, k in zip(y, k1)])
+        k3 = deriv(j + 1, *[c + half * k for c, k in zip(y, k2)])
+        k4 = deriv(j + 2, *[c + h * k for c, k in zip(y, k3)])
+        y = [c + sixth * (d1 + 2.0 * (d2 + d3) + d4)
+             for c, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+        if (i + 1) % stride == 0 or i + 1 == nsteps:
+            steps.append(i + 1)
+            states.append(tuple(y))
+    return steps, states
+
+
+def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stride=1):
+    """Amplitudes under H = [[z/2 + n1, od], [conj(od), -z/2 + n2]] by :func:`rk4`.
+
+    ``z`` and ``od`` hold the drive on the half-step nodes, each with shape
+    ``(nodes,)`` or ``(nodes, L)`` for L runs stepped at once.  With
+    mean-field constants ``g = (g11, g22, g12, g21)`` the diagonal adds
+    n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2 from the populations p.
+    Returns ``rk4``'s ``(steps, states)``; nothing is checked here.
+    """
+    hz, od, odc = (node_table(t) for t in (0.5 * np.asarray(z), od, np.conj(od)))
+    g11, g22, g12, g21 = g or (0.0,) * 4
+
+    def deriv(j, a1, a2):
+        h11, h22 = hz[j], -hz[j]
+        if g:
+            p1 = a1.real * a1.real + a1.imag * a1.imag
+            p2 = a2.real * a2.real + a2.imag * a2.imag
+            h11 = h11 + (g11 * p1 + g12 * p2)
+            h22 = h22 + (g21 * p1 + g22 * p2)
+        return -1j * (h11 * a1 + od[j] * a2), -1j * (odc[j] * a1 + h22 * a2)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rk4(deriv, initial, nsteps, h, stride)
+
+
+def _propagate(spec, me, schedule, settings, initial, nonlinear):
+    nsteps, h, nodes = half_step_nodes(spec.t_f, settings.step)
+    z, od = schedule.reduced_terms(nodes)
+    _, states = step_amplitudes(z, od, nsteps, h, spec.g_effective if nonlinear else None,
+                                (complex(initial[0]), complex(initial[1])))
+    states = np.array(states, dtype=complex)
+    bad = ~np.all(np.isfinite(states.view(float)), axis=1)
+    if bad.any():
+        t = int(np.argmax(bad)) * h
+        raise NumericalFailureError(f"non-finite amplitudes at t={t:.6g}", time=t)
+    norm_err = abs(float(np.sum(np.abs(states[-1]) ** 2)) - 1.0)
+    if norm_err > 1e-6:
+        raise NumericalFailureError(f"norm drifted by {norm_err:.3g}", time=spec.t_f)
+    return Trajectory(times=np.linspace(0.0, spec.t_f, nsteps + 1), states=states,
+                      spec=spec, me=me)
 
 
 def propagate(spec: TransferSpec, me: MatrixElements, schedule: PulseSchedule,
@@ -168,12 +172,7 @@ def propagate(spec: TransferSpec, me: MatrixElements, schedule: PulseSchedule,
     integration at ``settings.step``; channel values are pretabulated on the
     half-step grid the integrator touches.
     """
-    times, states = _rk4_two_level(spec, schedule, settings.step, initial,
-                                   nonlinear=False)
-    norm_err = abs(float(np.sum(np.abs(states[-1]) ** 2)) - 1.0)
-    if norm_err > 1e-6:
-        raise NumericalFailureError(f"norm drifted by {norm_err:.3g}", time=spec.t_f)
-    return Trajectory(times=times, states=states, spec=spec, me=me)
+    return _propagate(spec, me, schedule, settings, initial, nonlinear=False)
 
 
 def propagate_nonlinear(spec: TransferSpec, me: MatrixElements,
@@ -182,12 +181,7 @@ def propagate_nonlinear(spec: TransferSpec, me: MatrixElements,
                         initial=(1.0 + 0j, 0.0 + 0j)) -> Trajectory:
     """Mean-field two-level propagation; the real diagonal nonlinearity
     preserves the norm, so the same drift check applies."""
-    times, states = _rk4_two_level(spec, schedule, settings.step, initial,
-                                   nonlinear=True)
-    norm_err = abs(float(np.sum(np.abs(states[-1]) ** 2)) - 1.0)
-    if norm_err > 1e-6:
-        raise NumericalFailureError(f"norm drifted by {norm_err:.3g}", time=spec.t_f)
-    return Trajectory(times=times, states=states, spec=spec, me=me)
+    return _propagate(spec, me, schedule, settings, initial, nonlinear=True)
 
 
 def spin_polarization(traj: Trajectory, me: MatrixElements):

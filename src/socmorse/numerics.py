@@ -1,4 +1,5 @@
-"""Shared numerical primitives: special functions, quadrature, ODE stepping.
+"""Shared numerical primitives: special functions, quadrature, the exact
+2x2 exponential, and the one CSV writer behind every artifact.
 
 Everything here is a pure function of its inputs; the specs are frozen
 dataclasses, so values can be shared freely between threads.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from .errors import AccuracyError, DomainError, NumericalFailureError
+from .errors import AccuracyError, DomainError
 
 __all__ = [
     "QuadratureSpec",
@@ -21,7 +22,8 @@ __all__ = [
     "log_gamma",
     "laguerre",
     "integrate",
-    "ode_propagate",
+    "su2_exp",
+    "write_csv",
 ]
 
 
@@ -51,25 +53,14 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Integrator selection for :func:`ode_propagate`.
-
-    ``method='rk4'`` is the fixed-step classical Runge-Kutta scheme (the
-    reproducible default); ``method='adaptive'`` delegates to an embedded
-    adaptive pair and honours ``abs_tol``/``rel_tol``.
-    """
+    """Step of the fixed-step fourth-order Runge-Kutta integrator that
+    propagates the reduced two-level model."""
 
     step: float = 1e-3
-    method: str = "rk4"
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.step > 0:
             raise DomainError("step must be positive")
-        if self.method not in ("rk4", "adaptive"):
-            raise DomainError(f"unknown method {self.method!r}")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be positive")
 
 
 def log_gamma(x):
@@ -136,86 +127,26 @@ def integrate(f, quad: QuadratureSpec) -> complex:
     return estimate
 
 
-def _rk4_span(rhs, y, t0, t1, step):
-    """March y from t0 to t1 with fixed RK4 substeps of size <= step."""
-    span = t1 - t0
-    m = max(1, int(math.ceil(span / step - 1e-12)))
-    h = span / m
-    t = t0
-    for _ in range(m):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
+def su2_exp(dz, w, tau):
+    """Entries (u11, u12, u21, u22) of exp(-i tau [[dz, w], [conj(w), -dz]]).
 
-
-def ode_propagate(rhs, y0, t0, t1, settings: OdeSettings = OdeSettings(), t_eval=None):
-    """Propagate ``dy/dt = rhs(t, y)`` from t0 to t1.
-
-    Returns ``(times, states)`` with ``states[i]`` the solution at
-    ``times[i]``.  ``t_eval`` defaults to the natural fixed-step grid.
-    States may be real or complex arrays.
+    Exact for any real ``dz`` and real or complex ``w``, elementwise over
+    broadcastable arrays: cos(tau r) - i sin(tau r)/r times the matrix,
+    with r = hypot(dz, |w|).
     """
-    if not t1 > t0:
-        raise DomainError("need t1 > t0")
-    y0 = np.atleast_1d(np.asarray(y0))
-    if t_eval is None:
-        m = max(1, int(round((t1 - t0) / settings.step)))
-        t_eval = np.linspace(t0, t1, m + 1)
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval[0] != t0 or t_eval[-1] != t1 or np.any(np.diff(t_eval) <= 0):
-            raise DomainError("t_eval must increase strictly from t0 to t1")
-
-    if settings.method == "adaptive":
-        return _adaptive_propagate(rhs, y0, t0, t1, settings, t_eval)
-
-    states = np.empty((len(t_eval),) + y0.shape, dtype=np.result_type(y0.dtype, np.float64))
-    states[0] = y0
-    y = y0.astype(states.dtype)
-    for i in range(1, len(t_eval)):
-        y = _rk4_span(rhs, y, t_eval[i - 1], t_eval[i], settings.step)
-        if not np.all(np.isfinite(y.view(float))):
-            raise NumericalFailureError(
-                f"non-finite state at t={t_eval[i]:g}", time=float(t_eval[i])
-            )
-        states[i] = y
-    return t_eval, states
+    r = np.hypot(dz, np.abs(w))
+    cos_r = np.cos(tau * r)
+    sinc_r = np.where(r > 0.0, np.sin(tau * r) / np.where(r > 0.0, r, 1.0), tau)
+    return (cos_r - 1j * sinc_r * dz, -1j * sinc_r * w,
+            -1j * sinc_r * np.conj(w), cos_r + 1j * sinc_r * dz)
 
 
-def _adaptive_propagate(rhs, y0, t0, t1, settings, t_eval):
-    """Embedded adaptive integration; complex states stacked as reals."""
-    is_complex = np.iscomplexobj(y0)
-
-    if is_complex:
-        def real_rhs(t, yr):
-            dy = np.asarray(rhs(t, yr[: len(y0)] + 1j * yr[len(y0):]))
-            return np.concatenate([dy.real, dy.imag])
-
-        yr0 = np.concatenate([y0.real.astype(float), y0.imag.astype(float)])
-    else:
-        def real_rhs(t, yr):
-            return np.asarray(rhs(t, yr), dtype=float)
-
-        yr0 = y0.astype(float)
-
-    sol = scipy.integrate.solve_ivp(
-        real_rhs,
-        (t0, t1),
-        yr0,
-        method="DOP853",
-        t_eval=t_eval,
-        atol=settings.abs_tol,
-        rtol=settings.rel_tol,
-    )
-    if not sol.success:
-        raise NumericalFailureError(f"adaptive integration failed: {sol.message}")
-    states = sol.y.T
-    if is_complex:
-        states = states[:, : len(y0)] + 1j * states[:, len(y0):]
-    if not np.all(np.isfinite(states.view(float))):
-        raise NumericalFailureError("non-finite state in adaptive integration")
-    return sol.t, states
+def write_csv(path, header, columns):
+    """Write equal-length columns under ``header``: 12 significant digits,
+    LF line endings, so identical inputs give byte-identical files."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    with open(str(path), "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in zip(*columns))
+    return str(path)

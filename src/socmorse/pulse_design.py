@@ -21,6 +21,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DesignInfeasibleError, DomainError
 from .morse import MatrixElements, MorseSpec, overlap_Q
+from .numerics import write_csv
 
 __all__ = [
     "SCHEMES",
@@ -84,7 +85,7 @@ class TransferSpec:
                 f"t_f * gap = {self.t_f * self.delta_e:.3g} < 10; the two-level "
                 "reduction assumes the operation is slow on the gap scale",
                 AdiabaticityWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to the caller
             )
 
     @property
@@ -245,13 +246,13 @@ def theta_ansatz(spec: TransferSpec):
 def phi_from_constraint(spec: TransferSpec, theta_a, dtheta_a, phi: float):
     """Azimuthal angle (and rate) solving the singularity-cancelling constraint.
 
-    ``phi`` is the constant coupling phase.  Works with the callables from
-    :func:`theta_ansatz`; for foreign angle paths the second derivative is
-    taken by central differences (exact for polynomials up to cubic).
+    ``phi`` is the constant coupling phase.  ``theta_a`` and ``dtheta_a``
+    must be the callables from :func:`theta_ansatz`; any other angle path
+    raises :class:`DomainError`.
     """
     path = getattr(theta_a, "_path", None)
     if path is None:
-        path = _ForeignPath(spec.t_f, theta_a, dtheta_a)
+        raise DomainError("phi_from_constraint needs the angle path from theta_ansatz")
 
     def phi_a(t):
         s_pma, c_pma = _mismatch_sin_cos(path, spec.c, t)
@@ -262,34 +263,6 @@ def phi_from_constraint(spec: TransferSpec, theta_a, dtheta_a, phi: float):
         return _dphi_a(path, spec.c, t)
 
     return phi_a, dphi_a
-
-
-class _ForeignPath:
-    """Adapter giving arbitrary (theta, dtheta) callables the path interface."""
-
-    def __init__(self, t_f, theta, dtheta):
-        self.t_f = t_f
-        self._theta = theta
-        self._dtheta = dtheta
-
-    def _s(self, t):
-        return np.clip(np.asarray(t, dtype=float) / self.t_f, 0.0, 1.0)
-
-    def theta(self, t):
-        return self._theta(np.clip(t, 0.0, self.t_f))
-
-    def sin_cos_theta(self, t):
-        th = np.asarray(self.theta(t))
-        return np.sin(th), np.cos(th)
-
-    def dtheta(self, t):
-        return self._dtheta(np.clip(t, 0.0, self.t_f))
-
-    def ddtheta(self, t):
-        h = 1e-5 * self.t_f
-        t = np.asarray(t, dtype=float)
-        return (np.asarray(self._dtheta(np.clip(t + h, 0, self.t_f)))
-                - np.asarray(self._dtheta(np.clip(t - h, 0, self.t_f)))) / (2 * h)
 
 
 def invariant_angles(spec: TransferSpec, phi: float) -> InvariantAngles:
@@ -374,6 +347,20 @@ class PulseSchedule:
             "b_end": float(self.channel_b[-1]),
         }
 
+    def reduced_terms(self, t):
+        """The reduced two-level Hamiltonian the schedule sets at time(s) t.
+
+        Returns ``(Z, od)`` for H = [[Z/2, od], [conj(od), -Z/2]] in the
+        basis (initial state spin up, target state spin down):
+        Z = E_n - E_l + b(t) and od = (X + iY)/2 = a(t) * coupling, halved
+        for the Raman pair.  Works on scalars and on any time array.
+        """
+        spec = self.spec
+        half = 0.5 if spec.scheme == "raman" else 1.0
+        z = spec.energy_n - spec.energy_l + np.asarray(self.b_at(t), dtype=float)
+        od = half * self.coupling * np.asarray(self.a_at(t), dtype=float)
+        return z, od
+
     def with_channel_b_scaled(self, factor: float) -> "PulseSchedule":
         """Same schedule with the second channel multiplied by ``factor``."""
         fn_b = None if self.fn_b is None else (lambda t, f=self.fn_b: factor * np.asarray(f(t)))
@@ -416,10 +403,8 @@ class PulseSchedule:
         csv_path = str(csv_path)
         if sidecar_path is None:
             sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("t,channel_a,channel_b\n")
-            for t, a, b in zip(self.times, self.channel_a, self.channel_b):
-                fh.write(f"{t:.12g},{a:.12g},{b:.12g}\n")
+        write_csv(csv_path, "t,channel_a,channel_b",
+                  (self.times, self.channel_a, self.channel_b))
         meta = {
             "format_version": 1,
             "label_a": self.label_a,
@@ -537,6 +522,21 @@ def design_scheme1(spec: TransferSpec, me: MatrixElements, sample_count: int = 4
     )
 
 
+def _design_tilt(spec, me, sample_count, compensation=None):
+    sched = _build_schedule(
+        spec, me.M_coupling, me.phi_M, "theta1", "beta",
+        2.0 * abs(me.M_coupling), sample_count, compensation,
+    )
+    if sched.max_abs_a > 0.3:
+        warnings.warn(
+            f"peak tilt angle {sched.max_abs_a:.3f} rad exceeds 0.3; the "
+            "linear-in-angle design degrades beyond this",
+            SmallAngleWarning,
+            stacklevel=3,  # past the public design function to its caller
+        )
+    return sched
+
+
 def design_scheme2(spec: TransferSpec, me: MatrixElements, sample_count: int = 4096):
     """Tilted-field schedule (tilt angle of the SO axis, Zeeman amplitude).
 
@@ -544,37 +544,15 @@ def design_scheme2(spec: TransferSpec, me: MatrixElements, sample_count: int = 4
     in the small-angle regime; a warning reports when the peak tilt leaves
     it (simulators apply the exact trigonometry, making the error visible).
     """
-    sched = _build_schedule(
-        spec, me.M_coupling, me.phi_M, "theta1", "beta",
-        2.0 * abs(me.M_coupling), sample_count,
-    )
-    if sched.max_abs_a > 0.3:
-        warnings.warn(
-            f"peak tilt angle {sched.max_abs_a:.3f} rad exceeds 0.3; the "
-            "linear-in-angle design degrades beyond this",
-            SmallAngleWarning,
-            stacklevel=2,
-        )
-    return sched
+    return _design_tilt(spec, me, sample_count)
 
 
 def design_scheme2_interacting(spec: TransferSpec, me: MatrixElements,
                                sample_count: int = 4096):
     """Tilted-field schedule with the Zeeman channel compensating mean-field
     shifts; the tilt channel is unchanged from the noninteracting design."""
-    sched = _build_schedule(
-        spec, me.M_coupling, me.phi_M, "theta1", "beta",
-        2.0 * abs(me.M_coupling), sample_count,
-        compensation=(spec.g11, spec.g22, spec.g12, spec.g21),
-    )
-    if sched.max_abs_a > 0.3:
-        warnings.warn(
-            f"peak tilt angle {sched.max_abs_a:.3f} rad exceeds 0.3; the "
-            "linear-in-angle design degrades beyond this",
-            SmallAngleWarning,
-            stacklevel=2,
-        )
-    return sched
+    return _design_tilt(spec, me, sample_count,
+                        compensation=(spec.g11, spec.g22, spec.g12, spec.g21))
 
 
 def effective_g(raw_g, morse: MorseSpec, n: int, l: int):
@@ -609,11 +587,7 @@ def _hamiltonian_from_schedule(schedule: PulseSchedule, t: float):
     is exact.
     """
     spec = schedule.spec
-    z = spec.energy_n - spec.energy_l + schedule.b_at(t)
-    if spec.scheme == "raman":
-        off = 0.5 * schedule.a_at(t) * schedule.coupling
-    else:
-        off = schedule.a_at(t) * schedule.coupling
+    z, off = schedule.reduced_terms(t)
     h = np.array([[0.5 * z, off], [np.conj(off), -0.5 * z]], dtype=complex)
     if spec.scheme == "so_direction_interacting":
         path = _SmoothStepPath(spec.t_f)

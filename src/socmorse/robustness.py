@@ -14,10 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics_two_level import propagate, propagate_nonlinear
-from .errors import DomainError, SocmorseError
-from .morse import matrix_elements
-from .numerics import OdeSettings
+from .dynamics_two_level import half_step_nodes, node_table, rk4, step_amplitudes
+from .errors import DomainError, NumericalFailureError, SocmorseError
+from .numerics import OdeSettings, su2_exp, write_csv
 from .pulse_design import PulseSchedule, TransferSpec
 
 # Failures a scan records per point before moving on.  Anything else is a
@@ -25,47 +24,14 @@ from .pulse_design import PulseSchedule, TransferSpec
 _SCAN_FAILURES = (SocmorseError, FloatingPointError)
 
 __all__ = [
-    "BlochState",
     "InteractionSplit",
     "ScanResult",
-    "bloch_rhs",
     "bloch_propagate",
     "scan_systematic",
     "scan_systematic_grid",
     "scan_noise",
     "stochastic_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class BlochState:
-    """Density-matrix coordinates: u, v transverse, w population difference."""
-
-    u: float
-    v: float
-    w: float
-
-    def as_array(self):
-        return np.array([self.u, self.v, self.w])
-
-    def purity_radius_sq(self) -> float:
-        return self.u**2 + self.v**2 + self.w**2
-
-    def to_density_matrix(self):
-        return 0.5 * np.array(
-            [[1.0 + self.w, self.u + 1j * self.v],
-             [self.u - 1j * self.v, 1.0 - self.w]],
-            dtype=complex,
-        )
-
-    @classmethod
-    def from_density_matrix(cls, rho):
-        rho = np.asarray(rho)
-        return cls(
-            u=float((rho[0, 1] + rho[1, 0]).real),
-            v=float((-1j * (rho[0, 1] - rho[1, 0])).real),
-            w=float((rho[0, 0] - rho[1, 1]).real),
-        )
 
 
 @dataclass(frozen=True)
@@ -114,17 +80,11 @@ class ScanResult:
             raise DomainError("scan columns must have equal length")
 
     def to_csv(self, path):
-        with open(str(path), "w", newline="\n") as fh:
-            header = f"{self.parameter},fidelity"
-            if self.stderr is not None:
-                header += ",stderr"
-            fh.write(header + "\n")
-            for i in range(len(self.values)):
-                row = [self.values[i], self.fidelities[i]]
-                if self.stderr is not None:
-                    row.append(self.stderr[i])
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-        return str(path)
+        if self.stderr is None:
+            return write_csv(path, f"{self.parameter},fidelity",
+                             (self.values, self.fidelities))
+        return write_csv(path, f"{self.parameter},fidelity,stderr",
+                         (self.values, self.fidelities, self.stderr))
 
     def curvature_at_zero(self, window: float = 0.16):
         """Quadratic-fit curvature of the fidelity around parameter zero.
@@ -146,112 +106,107 @@ def _require_tilt_schedule(schedule: PulseSchedule):
                           "schemes only")
 
 
-def _symmetric_entries(spec: TransferSpec, schedule: PulseSchedule, t):
-    """(X, Y, Z, D) of the reduced model at time t; D is the noisy channel."""
-    a = schedule.a_at(t)
-    b = schedule.b_at(t)
-    off = 2.0 * np.asarray(a) * schedule.coupling
-    z = spec.energy_n - spec.energy_l + np.asarray(b)
-    return np.real(off), np.imag(off), z, np.asarray(b)
-
-
-def bloch_rhs(state, t: float, spec: TransferSpec, schedule: PulseSchedule,
-              noise_strength: float):
-    """Time derivative (du, dv, dw) of the noise-averaged state.
-
-    Unitary precession around the scheduled field, mean-field frequency
-    pull proportional to w, and transverse damping at rate
-    noise_strength^2 D(t)^2 / 2 where D is the Zeeman amplitude.
-    """
-    _require_tilt_schedule(schedule)
-    if isinstance(state, BlochState):
-        u, v, w = state.u, state.v, state.w
-    else:
-        u, v, w = (float(c) for c in np.asarray(state))
-    x, y, z, d = _symmetric_entries(spec, schedule, t)
-    split = InteractionSplit.from_constants(*spec.g_effective)
-    z_eff = z + split.g_d + split.g_d_prime + (split.g_s - split.g_s_prime) * w
-    damp = 0.5 * noise_strength**2 * d * d
-    return np.array([
-        -damp * u + z_eff * v - y * w,
-        -z_eff * u - damp * v + x * w,
-        y * u - x * v,
-    ])
-
-
 def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
-                    noise_strength: float, dt: float = 1e-3,
-                    record_stride: int = 10):
+                    noise_strength, dt: float = 1e-3,
+                    record_stride: int | None = 10):
     """Integrate the noise-averaged state from spin up over the schedule.
 
-    Returns (times, states) with rows (u, v, w).  Fixed-step fourth-order
-    stepping with channel values pretabulated on the half-step grid.
+    The Bloch vector (u, v, w) of the reduced density matrix precesses
+    around the scheduled field with the mean-field frequency pull
+    proportional to w, and its transverse part is damped at rate
+    noise_strength^2 D(t)^2 / 2, where D is the Zeeman amplitude.  Returns
+    (times, states) with rows (u, v, w), recorded every ``record_stride``
+    steps and at the end (only at the ends with ``record_stride=None``).
+
+    An array of noise strengths steps one column per strength at once and
+    gives states of shape (records, 3, L); a column that overflows comes
+    back non-finite instead of raising, so one bad point cannot sink the
+    batch.  A single strength raises :class:`NumericalFailureError` then.
     """
     _require_tilt_schedule(schedule)
-    nsteps = max(1, int(round(spec.t_f / dt)))
-    h = spec.t_f / nsteps
-    nodes = np.linspace(0.0, spec.t_f, 2 * nsteps + 1)
-    x_n, y_n, z_n, d_n = _symmetric_entries(spec, schedule, nodes)
+    nsteps, h, nodes = half_step_nodes(spec.t_f, dt)
+    z, od = schedule.reduced_terms(nodes)
+    d = np.asarray(schedule.b_at(nodes), dtype=float)
+    strength = np.asarray(noise_strength, dtype=float)
+    start = (0.0, 0.0, 1.0)
+    if strength.ndim:
+        d = d[:, None]
+        start = tuple(np.full(strength.shape, c) for c in start)
+    with np.errstate(over="ignore"):
+        damp = 0.5 * strength**2 * d * d
     split = InteractionSplit.from_constants(*spec.g_effective)
     gd_tot = split.g_d + split.g_d_prime
     gs_tot = split.g_s - split.g_s_prime
-    damp_n = 0.5 * noise_strength**2 * d_n * d_n
+    x, y, z, damp = (node_table(t) for t in (2.0 * od.real, 2.0 * od.imag, z, damp))
 
     def deriv(j, u, v, w):
-        z_eff = z_n[j] + gd_tot + gs_tot * w
+        z_eff = z[j] + gd_tot + gs_tot * w
         return (
-            -damp_n[j] * u + z_eff * v - y_n[j] * w,
-            -z_eff * u - damp_n[j] * v + x_n[j] * w,
-            y_n[j] * u - x_n[j] * v,
+            -damp[j] * u + z_eff * v - y[j] * w,
+            -z_eff * u - damp[j] * v + x[j] * w,
+            y[j] * u - x[j] * v,
         )
 
-    u, v, w = 0.0, 0.0, 1.0
-    recs = [(0.0, (u, v, w))]
-    sixth = h / 6.0
-    for i in range(nsteps):
-        j = 2 * i
-        k1 = deriv(j, u, v, w)
-        k2 = deriv(j + 1, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1], w + 0.5 * h * k1[2])
-        k3 = deriv(j + 1, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1], w + 0.5 * h * k2[2])
-        k4 = deriv(j + 2, u + h * k3[0], v + h * k3[1], w + h * k3[2])
-        u += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        v += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        w += sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        if (i + 1) % record_stride == 0 or i + 1 == nsteps:
-            recs.append(((i + 1) * h, (u, v, w)))
-    times = np.array([t for t, _ in recs])
-    states = np.array([s for _, s in recs])
-    return times, states
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps, states = rk4(deriv, start, nsteps, h, record_stride)
+    states = np.array(states)
+    if strength.ndim == 0 and not np.all(np.isfinite(states[-1])):
+        raise NumericalFailureError(f"non-finite Bloch vector by t={spec.t_f:.6g}",
+                                    time=spec.t_f)
+    return np.array(steps) * h, states
+
+
+def _batched_scan(parameter, values, spec, run):
+    """Scan every point in one batched call: ``run(values)`` returns the
+    per-point fidelities and failure messages (None where the point is
+    fine).  A failure the batched call raises marks every point failed."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise DomainError("empty scan grid")
+    fidelities = np.full(values.shape, np.nan)
+    try:
+        fid, problems = run(values)
+    except _SCAN_FAILURES as exc:  # recorded, scan still returns
+        problems = [f"{type(exc).__name__}: {exc}"] * values.size
+    else:
+        ok = np.array([p is None for p in problems])
+        fidelities[ok] = fid[ok]
+    return ScanResult(
+        parameter=parameter,
+        values=values,
+        fidelities=fidelities,
+        spec=spec,
+        failures=tuple((i, p) for i, p in enumerate(problems) if p is not None),
+    )
 
 
 def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
                     settings: OdeSettings = OdeSettings()) -> ScanResult:
     """Fidelity when the Zeeman channel is scaled by (1 + lambda).
 
-    Each point propagates the (mean-field, when the spec carries
-    interactions) two-level model; failures are recorded per point and the
-    scan continues.
+    All points propagate the (mean-field, when the spec carries
+    interactions) two-level model together, one row of the Zeeman table
+    per point; a point whose final amplitudes are non-finite or whose norm
+    drifted by more than 1e-6 is recorded as a failure.
     """
-    me = matrix_elements(spec.n, spec.l, spec.alpha, spec.morse)
-    prop = propagate_nonlinear if spec.interacting else propagate
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size == 0:
-        raise DomainError("empty scan grid")
-    fidelities = np.full(lambdas.shape, np.nan)
-    failures = []
-    for i, lam in enumerate(lambdas):
-        try:
-            traj = prop(spec, me, schedule.with_channel_b_scaled(1.0 + lam), settings)
-            fidelities[i] = traj.final_fidelity
-        except _SCAN_FAILURES as exc:  # recorded, scan continues
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
-    return ScanResult(
-        parameter="lambda",
-        values=lambdas,
-        fidelities=fidelities,
-        spec=spec,
-        failures=tuple(failures),
-    )
+    def run(lambdas):
+        nsteps, h, nodes = half_step_nodes(spec.t_f, settings.step)
+        terms = [schedule.with_channel_b_scaled(1.0 + lam).reduced_terms(nodes)
+                 for lam in lambdas]
+        z = np.stack([zl for zl, _ in terms], axis=1)
+        _, states = step_amplitudes(z, terms[0][1], nsteps, h,
+                                    spec.g_effective if spec.interacting else None,
+                                    stride=None)
+        c1, c2 = states[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_err = np.abs(np.abs(c1) ** 2 + np.abs(c2) ** 2 - 1.0)
+        problems = [None if e <= 1e-6 else
+                    f"NumericalFailureError: norm drifted by {e:.3g}" if np.isfinite(e) else
+                    f"NumericalFailureError: non-finite amplitudes by t={spec.t_f:.6g}"
+                    for e in norm_err]
+        return np.abs(c2) ** 2, problems
+
+    return _batched_scan("lambda", lambdas, spec, run)
 
 
 def scan_systematic_grid(spec: TransferSpec, schedule: PulseSchedule, lambdas,
@@ -291,26 +246,19 @@ def scan_systematic_grid(spec: TransferSpec, schedule: PulseSchedule, lambdas,
 
 def scan_noise(spec: TransferSpec, schedule: PulseSchedule, lambdas_prime,
                dt: float = 1e-3) -> ScanResult:
-    """Master-equation fidelity (1 - w)/2 at t_f for each noise strength."""
+    """Master-equation fidelity (1 - w)/2 at t_f for each noise strength,
+    all strengths in one batched :func:`bloch_propagate` call."""
     _require_tilt_schedule(schedule)
-    lambdas_prime = np.asarray(lambdas_prime, dtype=float)
-    if lambdas_prime.size == 0:
-        raise DomainError("empty scan grid")
-    fidelities = np.full(lambdas_prime.shape, np.nan)
-    failures = []
-    for i, lam in enumerate(lambdas_prime):
-        try:
-            _, states = bloch_propagate(spec, schedule, lam, dt=dt)
-            fidelities[i] = 0.5 * (1.0 - states[-1, 2])
-        except _SCAN_FAILURES as exc:
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
-    return ScanResult(
-        parameter="lambda_prime",
-        values=lambdas_prime,
-        fidelities=fidelities,
-        spec=spec,
-        failures=tuple(failures),
-    )
+
+    def run(strengths):
+        _, states = bloch_propagate(spec, schedule, strengths, dt=dt, record_stride=None)
+        final = states[-1]
+        problems = [None if ok else
+                    f"NumericalFailureError: non-finite Bloch vector by t={spec.t_f:.6g}"
+                    for ok in np.all(np.isfinite(final), axis=0)]
+        return 0.5 * (1.0 - final[2]), problems
+
+    return _batched_scan("lambda_prime", lambdas_prime, spec, run)
 
 
 def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
@@ -329,11 +277,10 @@ def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
     _require_tilt_schedule(schedule)
     if trajectories < 100:
         raise DomainError("need at least 100 trajectories")
-    nsteps = max(1, int(round(spec.t_f / dt)))
-    h = spec.t_f / nsteps
+    nsteps, h, _ = half_step_nodes(spec.t_f, dt)
     mids = (np.arange(nsteps) + 0.5) * h
-    x_m, y_m, z_m, d_m = _symmetric_entries(spec, schedule, mids)
-    od_m = 0.5 * (x_m + 1j * y_m)
+    z_m, od_m = schedule.reduced_terms(mids)
+    d_m = np.asarray(schedule.b_at(mids), dtype=float)
     g11, g22, g12, g21 = spec.g_effective
     nonlinear = spec.interacting
 
@@ -356,18 +303,13 @@ def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
             h11 = h11 + g11 * p1 + g12 * p2
             h22 = h22 + g21 * p1 + g22 * p2
         mean = 0.5 * (h11 + h22)
-        dz = 0.5 * (h11 - h22)
-        r = np.hypot(dz, abs(od))
         phase = np.exp(-1j * h * mean)
-        cos_r = np.cos(h * r)
-        sinc_r = np.where(r > 0.0, np.sin(h * r) / np.where(r > 0.0, r, 1.0), h)
+        u11, u12, u21, u22 = su2_exp(0.5 * (h11 - h22), od, h)
         half_kick = np.exp(-0.25j * lambda_prime * d_m[j] * sqrt_h * noise[j])
         a1 = c1 * half_kick
         a2 = c2 * np.conj(half_kick)
-        n1 = phase * ((cos_r - 1j * sinc_r * dz) * a1 - 1j * sinc_r * od * a2)
-        n2 = phase * (-1j * sinc_r * np.conj(od) * a1 + (cos_r + 1j * sinc_r * dz) * a2)
-        c1 = n1 * half_kick
-        c2 = n2 * np.conj(half_kick)
+        c1 = phase * (u11 * a1 + u12 * a2) * half_kick
+        c2 = phase * (u21 * a1 + u22 * a2) * np.conj(half_kick)
 
     target_pop = c2.real**2 + c2.imag**2
     fid = float(np.mean(target_pop))

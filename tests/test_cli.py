@@ -143,6 +143,43 @@ class TestCommands:
         assert code != EXIT_OK
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command, setting", [
+        (["design"], "transfer.t_f = -1"),
+        (["simulate", "--engine", "twolevel"], "transfer.t_f = -1"),
+        (["simulate", "--engine", "grid"], "grid.points = 1000"),
+    ])
+    def test_config_domain_error_exits_config(self, tmp_path, capsys, command, setting):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(setting + "\n")
+        code = main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kind, settings", [
+        ("systematic", "noise.lambda = -0.2:0.2:0.1\n"),
+        ("noise", "noise.lambda_prime = 0, 0.5\nnoise.trajectories = 100\n"),
+    ])
+    def test_scan_deterministic(self, tmp_path, kind, settings):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("transfer.scheme = so_direction_interacting\ntransfer.t_f = 4\n"
+                       + settings)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["scan", "--config", str(cfg), "--kind", kind,
+                         "--out-dir", str(out)]) == EXIT_OK
+        for suffix in ("_noninteracting", "_interacting"):
+            name = f"scan_{kind}{suffix}.csv"
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_diverging_noise_point_counted(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("transfer.scheme = so_direction\ntransfer.t_f = 4\n"
+                       "noise.lambda_prime = 0, 1e200, 0.1\n")
+        out = tmp_path / "out"
+        main(["scan", "--config", str(cfg), "--kind", "noise", "--out-dir", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scalars"]["failed_points"] == 1
+
     def test_scan_grid_engine_rejected_for_noise(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("transfer.scheme = so_direction\n")

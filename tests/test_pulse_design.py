@@ -82,6 +82,11 @@ class TestSpecValidation:
         with pytest.warns(AdiabaticityWarning):
             TransferSpec(morse=A8, t_f=10.0, c=0.1)
 
+    def test_warning_points_at_caller(self):
+        with pytest.warns(AdiabaticityWarning) as rec:
+            TransferSpec(morse=A8, t_f=10.0, c=0.1)
+        assert {w.filename for w in rec if w.category is AdiabaticityWarning} == {__file__}
+
     def test_long_operation_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", AdiabaticityWarning)
@@ -155,6 +160,10 @@ class TestConstraintAngles:
         assert -phi_a(0.0) == pytest.approx(-math.pi / 2, rel=1e-12)
         assert dphi_a(0.0) == pytest.approx(-0.05, rel=1e-12)
 
+    def test_foreign_angle_path_rejected(self, spec1):
+        with pytest.raises(DomainError):
+            phi_from_constraint(spec1, lambda t: t, lambda t: 1.0, 0.0)
+
     def test_bundle(self, spec1):
         angles = invariant_angles(spec1, 0.3)
         assert angles.theta_a(T_F / 2) == pytest.approx(math.pi / 2)
@@ -214,6 +223,12 @@ class TestScheme2:
     def test_peak_tilt_warns(self, spec2, me):
         with pytest.warns(SmallAngleWarning):
             design_scheme2(spec2, me)
+
+    @pytest.mark.parametrize("design", [design_scheme2, design_scheme2_interacting])
+    def test_peak_tilt_warning_points_at_caller(self, spec2, me, design):
+        with pytest.warns(SmallAngleWarning) as rec:
+            design(spec2, me)
+        assert {w.filename for w in rec if w.category is SmallAngleWarning} == {__file__}
 
 
 G_SET = dict(g11=0.3, g22=0.2, g12=0.115, g21=0.115)

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reduced_reference as reference
 from helpers import constant_schedule
+from reduced_reference import BlochState, bloch_rhs
 from socmorse.dynamics_grid import SpatialGrid
 from socmorse.errors import DomainError, NumericalFailureError
+from socmorse.numerics import OdeSettings
 from socmorse.robustness import (
-    BlochState,
     InteractionSplit,
     bloch_propagate,
-    bloch_rhs,
     scan_noise,
     scan_systematic,
     scan_systematic_grid,
@@ -63,7 +64,7 @@ class TestBlochRhs:
 
     def test_matches_density_matrix_oracle(self, ctx):
         # rebuild the master equation in matrix form and compare components
-        from socmorse.robustness import _symmetric_entries
+        from reduced_reference import _symmetric_entries
 
         rng = np.random.default_rng(17)
         spec = ctx.spec_interacting
@@ -108,20 +109,9 @@ class TestSystematicScan:
         res = scan_systematic(ctx.spec_tilt, ctx.sched_tilt, [-0.3, 0.0, 0.3])
         assert res.fidelities[1] >= np.max(res.fidelities) - 1e-12
 
-    def test_failures_recorded_and_scan_continues(self, ctx, monkeypatch):
-        import socmorse.robustness as rb
-
-        calls = {"n": 0}
-        real = rb.propagate
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise NumericalFailureError("synthetic failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(rb, "propagate", flaky)
-        res = scan_systematic(ctx.spec_tilt, ctx.sched_tilt, [-0.1, 0.0, 0.1])
+    def test_failures_recorded_and_scan_continues(self, ctx):
+        # the Zeeman channel scaled by 1 + 1e300 overflows the amplitudes
+        res = scan_systematic(ctx.spec_tilt, ctx.sched_tilt, [-0.1, 1e300, 0.1])
         assert len(res.failures) == 1
         assert res.failures[0][0] == 1
         assert np.isnan(res.fidelities[1])
@@ -144,7 +134,7 @@ class TestSystematicScan:
 
 SCANS = {
     # scan name -> (module and function each scan point calls, the scan)
-    "systematic": ("socmorse.robustness", "propagate",
+    "systematic": ("socmorse.robustness", "step_amplitudes",
                    lambda ctx: scan_systematic(ctx.spec_tilt, ctx.sched_tilt,
                                                [-0.1, 0.0, 0.1])),
     "noise": ("socmorse.robustness", "bloch_propagate",
@@ -185,7 +175,60 @@ class TestScanFailureHandling:
         assert np.all(np.isnan(res.fidelities))
 
 
+class TestReferenceParity:
+    """The batched scans against the per-point loops they replaced, at a
+    coarser step to keep the per-point references quick."""
+
+    LAMBDAS = [-0.5, -0.15, 0.0, 0.05, 0.3]
+    LAMBDAS_PRIME = [0.0, 0.2, 0.55, 1.0]
+    DT = 2e-3
+
+    @pytest.mark.parametrize("case", ["linear", "mean_field"])
+    def test_systematic_scan(self, ctx, case):
+        spec, sched = ((ctx.spec_tilt, ctx.sched_tilt) if case == "linear"
+                       else (ctx.spec_interacting, ctx.sched_compensated))
+        got = scan_systematic(spec, sched, self.LAMBDAS, OdeSettings(step=self.DT)).fidelities
+        want = reference.scan_systematic(spec, sched, self.LAMBDAS, step=self.DT)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["linear", "mean_field"])
+    def test_noise_scan(self, ctx, case):
+        spec, sched = ((ctx.spec_tilt, ctx.sched_tilt) if case == "linear"
+                       else (ctx.spec_interacting, ctx.sched_compensated))
+        got = scan_noise(spec, sched, self.LAMBDAS_PRIME, dt=self.DT).fidelities
+        want = reference.scan_noise(spec, sched, self.LAMBDAS_PRIME, dt=self.DT)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_bloch_records(self, ctx):
+        times, states = bloch_propagate(ctx.spec_interacting, ctx.sched_compensated,
+                                        0.4, record_stride=7)
+        want_t, want = reference.bloch_propagate(ctx.spec_interacting, ctx.sched_compensated,
+                                           0.4, record_stride=7)
+        assert np.max(np.abs(times - want_t)) <= 1e-12
+        assert np.max(np.abs(states - want)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["linear", "mean_field"])
+    def test_stochastic_oracle(self, ctx, case):
+        spec, sched = ((ctx.spec_tilt, ctx.sched_tilt) if case == "linear"
+                       else (ctx.spec_interacting, ctx.sched_compensated))
+        got = stochastic_oracle(spec, sched, 0.6, trajectories=100, seed=4, dt=self.DT)
+        want = reference.stochastic_oracle(spec, sched, 0.6, trajectories=100, seed=4,
+                                           dt=self.DT)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
 class TestNoiseScan:
+    def test_diverging_point_recorded(self, ctx):
+        res = scan_noise(ctx.spec_tilt, ctx.sched_tilt, [0.0, 1e200, 0.1])
+        assert [i for i, _ in res.failures] == [1]
+        assert res.failures[0][1].startswith("NumericalFailureError: non-finite")
+        assert np.isnan(res.fidelities[1])
+        assert np.all(np.isfinite(res.fidelities[[0, 2]]))
+
+    def test_diverging_single_run_raises(self, ctx):
+        with pytest.raises(NumericalFailureError):
+            bloch_propagate(ctx.spec_tilt, ctx.sched_tilt, 1e200)
+
     def test_zero_noise_matches_unitary(self, ctx):
         res = scan_noise(ctx.spec_tilt, ctx.sched_tilt, [0.0])
         assert abs(res.fidelities[0] - ctx.twolevel_tilt.final_fidelity) <= 1e-6

@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import reduced_reference as reference
 from socmorse.dynamics_two_level import (
     Trajectory,
-    assemble_H,
     expectation_x,
     fidelity,
     propagate,
     propagate_nonlinear,
     spin_polarization,
 )
-from socmorse.errors import DomainError
+from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.morse import matrix_elements
-from socmorse.numerics import OdeSettings, ode_propagate
+from socmorse.numerics import OdeSettings
 from helpers import constant_schedule
+from reduced_reference import assemble_H, ode_propagate
 
 
 
@@ -96,7 +97,7 @@ class TestPropagate:
             return -1j * ((h + shift * np.eye(2)) @ y)
 
         _, states = ode_propagate(rhs, [1.0 + 0j, 0.0 + 0j], 0.0, spec.t_f,
-                                  OdeSettings(step=1e-3))
+                                  reference.OdeSettings(step=1e-3))
         ref = ctx.twolevel_raman.states[-1]
         got = states[-1]
         assert abs(np.abs(got[0]) ** 2 - np.abs(ref[0]) ** 2) <= 1e-10
@@ -105,6 +106,39 @@ class TestPropagate:
         rel_ref = np.angle(ref[1] / ref[0]) if abs(ref[0]) > 1e-12 else None
         if rel_ref is not None:
             assert np.angle(got[1] / got[0]) == pytest.approx(rel_ref, abs=1e-6)
+
+
+class TestReferenceParity:
+    """Single runs against the scalar RK4 loop the shared core replaced."""
+
+    @pytest.mark.parametrize("case", ["raman", "tilt", "compensated", "uncompensated"])
+    def test_states_match(self, ctx, case):
+        traj = getattr(ctx, f"twolevel_{case}")
+        nonlinear = case in ("compensated", "uncompensated")
+        sched = {"raman": ctx.sched_raman, "tilt": ctx.sched_tilt,
+                 "compensated": ctx.sched_compensated,
+                 "uncompensated": ctx.sched_tilt}[case]
+        times, states = reference._rk4_two_level(traj.spec, sched, 1e-3, (1.0 + 0j, 0j),
+                                           nonlinear)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+
+    def test_reversed_run_from_target(self, ctx):
+        rev = ctx.sched_raman.time_reversed()
+        traj = propagate(ctx.spec_raman, ctx.me, rev, OdeSettings(step=2e-3),
+                         initial=(0.0, 1.0))
+        _, states = reference._rk4_two_level(ctx.spec_raman, rev, 2e-3, (0.0, 1.0), False)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_overflow_reported_with_time(self, ctx):
+        sched = ctx.sched_tilt.with_channel_b_scaled(1e300)
+        with pytest.raises(NumericalFailureError) as err:
+            propagate(ctx.spec_tilt, ctx.me, sched)
+        with pytest.raises(NumericalFailureError) as want:
+            reference._rk4_two_level(ctx.spec_tilt, sched, 1e-3, (1.0 + 0j, 0j), False)
+        assert str(err.value) == str(want.value)
+        assert err.value.time == want.value.time
 
 
 class TestNonlinear:
