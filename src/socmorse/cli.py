@@ -9,17 +9,17 @@ identical artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .dynamics_grid import SpatialGrid, density_profile, evolve, init_basis_state, target_state
-from .dynamics_two_level import expectation_x, propagate, propagate_nonlinear, spin_polarization
+from .dynamics_two_level import propagate, propagate_nonlinear
 from .errors import (
     ConfigError,
     DesignInfeasibleError,
@@ -28,7 +28,7 @@ from .errors import (
     SocmorseError,
 )
 from .morse import MorseSpec, characteristic_length, matrix_elements, overlap_Q
-from .numerics import OdeSettings, write_csv
+from .numerics import OdeSettings, write_csv, write_json
 from .pulse_design import (
     TransferSpec,
     design_scheme1,
@@ -98,8 +98,6 @@ _KEYS = {
     "noise.seed": ("seed", int),
 }
 
-_FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
-
 
 def _parse_grid_value(text):
     text = text.strip()
@@ -151,12 +149,16 @@ def load_config(path) -> RunConfig:
         return parse_config_text(fh.read())
 
 
+def _config_items(config: RunConfig):
+    """(key, value) of every setting in field order: the one walk behind the
+    config snapshot and the manifest's config block."""
+    return [(key, getattr(config, attr)) for key, (attr, _) in _KEYS.items()]
+
+
 def config_to_text(config: RunConfig) -> str:
     """Round-trippable snapshot of a configuration."""
     lines = []
-    for f in fields(RunConfig):
-        key = _FIELD_TO_KEY[f.name]
-        val = getattr(config, f.name)
+    for key, val in _config_items(config):
         if isinstance(val, tuple):
             text = ",".join(repr(float(v)) for v in val)
         elif isinstance(val, float):
@@ -225,18 +227,10 @@ def design_for_spec(spec: TransferSpec, sample_count: int):
 
 
 class _Manifest:
-    def __init__(self, command, config, out_dir):
+    def __init__(self, command, out_dir):
         self.data = {
             "command": command,
             "version": __version__,
-            "config": {
-                _FIELD_TO_KEY[f.name]: (
-                    list(getattr(config, f.name))
-                    if isinstance(getattr(config, f.name), tuple)
-                    else getattr(config, f.name)
-                )
-                for f in fields(RunConfig)
-            },
             "artifacts": [],
             "scalars": {},
         }
@@ -250,21 +244,79 @@ class _Manifest:
         self.data["scalars"][name] = value
 
     def write(self, config):
+        """Write the snapshot and the manifest of the config the run used."""
         snap = os.path.join(self.out_dir, "config_snapshot.txt")
         with open(snap, "w", newline="\n") as fh:
             fh.write(config_to_text(config))
         self.add_artifact(snap)
+        self.data["config"] = {
+            key: list(val) if isinstance(val, tuple) else val
+            for key, val in _config_items(config)
+        }
         self.data["wall_time_s"] = round(time.time() - self._t0, 3)
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return write_json(os.path.join(self.out_dir, "manifest.json"), self.data)
 
 
 def _ensure_out_dir(path):
     os.makedirs(path, exist_ok=True)
     return path
+
+
+# ---------------------------------------------------------------------------
+# pipeline steps shared by the commands
+
+
+def _design(config: RunConfig):
+    """Spec, matrix elements and designed schedule of a config."""
+    spec = build_transfer_spec(config)
+    return (spec, *design_for_spec(spec, config.sample_count))
+
+
+def _twolevel_run(config: RunConfig, spec, me, schedule):
+    """Two-level propagation, with the mean field when the spec has one."""
+    prop = propagate_nonlinear if spec.interacting else propagate
+    return prop(spec, me, schedule, OdeSettings(step=config.dt))
+
+
+_DENSITY_HEADER = "x,dens_up,dens_down,dens_target"
+
+
+def _grid_run(config: RunConfig, spec, schedule):
+    """Grid-engine run from the initial basis state: the report and the
+    final density columns under ``_DENSITY_HEADER``."""
+    grid = _build_grid(config)
+    fld = init_basis_state(grid, spec.morse, spec.n, "up", spec.alpha)
+    final, rep = evolve(fld, spec, schedule, dt=config.dt)
+    dens_up, dens_dn = density_profile(final)
+    tgt_up, tgt_dn = density_profile(target_state(grid, spec))
+    return rep, (grid.x, dens_up, dens_dn, tgt_up + tgt_dn)
+
+
+def _curves(config: RunConfig):
+    """Designed curves ``(suffix, config, spec, schedule)``: the config
+    alone, or for a mean-field config its non-interacting twin, then itself."""
+    curves = [("", config)]
+    if build_transfer_spec(config).interacting:
+        twin = replace(config, scheme="so_direction",
+                       g_uu=0.0, g_dd=0.0, g_ud=0.0, g_du=0.0)
+        curves = [("_noninteracting", twin), ("_interacting", config)]
+    for suffix, cfg in curves:
+        spec, _, schedule = _design(cfg)
+        yield suffix, cfg, spec, schedule
+
+
+_SCAN_GRIDS = {"systematic": "lambda_grid", "noise": "lambda_prime_grid"}
+
+
+def _scan(kind, engine, config: RunConfig, spec, schedule):
+    """Fidelity scan of one designed curve over the config's grid for ``kind``."""
+    values = getattr(config, _SCAN_GRIDS[kind])
+    if kind == "noise":
+        return scan_noise(spec, schedule, values, dt=config.dt)
+    if engine == "grid":
+        return scan_systematic_grid(spec, schedule, values,
+                                    grid=_build_grid(config), dt=config.dt)
+    return scan_systematic(spec, schedule, values, OdeSettings(step=config.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +359,16 @@ def cmd_inspect(config: RunConfig, out_dir=None):
     print(f"x moments: <n|x|n> = {me.x_diag_n:.8g}, <l|x|l> = {me.x_diag_l:.8g}")
     if out_dir:
         _ensure_out_dir(out_dir)
-        path = os.path.join(out_dir, "inspect.json")
-        with open(path, "w", newline="\n") as fh:
-            json.dump(info, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path = write_json(os.path.join(out_dir, "inspect.json"), info)
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_design(config: RunConfig, out_dir):
     _ensure_out_dir(out_dir)
-    manifest = _Manifest("design", config, out_dir)
-    spec = build_transfer_spec(config)
-    me, schedule = design_for_spec(spec, config.sample_count)
-    csv_path = os.path.join(out_dir, "schedule.csv")
-    csv_path, sidecar = schedule.to_csv(csv_path)
+    manifest = _Manifest("design", out_dir)
+    spec, _, schedule = _design(config)
+    csv_path, sidecar = schedule.to_csv(os.path.join(out_dir, "schedule.csv"))
     manifest.add_artifact(csv_path)
     manifest.add_artifact(sidecar)
     ends = schedule.endpoint_summary()
@@ -340,16 +387,12 @@ def cmd_design(config: RunConfig, out_dir):
 
 def cmd_simulate(config: RunConfig, engine: str, out_dir):
     _ensure_out_dir(out_dir)
-    manifest = _Manifest(f"simulate:{engine}", config, out_dir)
-    spec = build_transfer_spec(config)
-    me, schedule = design_for_spec(spec, config.sample_count)
+    manifest = _Manifest(f"simulate:{engine}", out_dir)
+    spec, me, schedule = _design(config)
 
     if engine == "twolevel":
-        settings = OdeSettings(step=config.dt)
-        prop = propagate_nonlinear if spec.interacting else propagate
-        traj = prop(spec, me, schedule, settings)
-        path = traj.to_csv(os.path.join(out_dir, "trajectory.csv"), stride=10)
-        manifest.add_artifact(path)
+        traj = _twolevel_run(config, spec, me, schedule)
+        manifest.add_artifact(traj.to_csv(os.path.join(out_dir, "trajectory.csv"), stride=10))
         fid = traj.final_fidelity
         report = {
             "engine": "twolevel",
@@ -359,19 +402,10 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
             "max_abs_a": schedule.max_abs_a,
         }
     elif engine == "grid":
-        grid = _build_grid(config)
-        fld = init_basis_state(grid, spec.morse, spec.n, "up", spec.alpha)
-        final, rep = evolve(fld, spec, schedule, dt=config.dt)
-        path = rep.to_csv(os.path.join(out_dir, "grid_report.csv"))
-        manifest.add_artifact(path)
-        dens_up, dens_dn = density_profile(final)
-        tgt_up, tgt_dn = density_profile(target_state(grid, spec))
-        dens_path = write_csv(
-            os.path.join(out_dir, "final_density.csv"),
-            "x,dens_up,dens_down,dens_target",
-            (grid.x, dens_up, dens_dn, tgt_up + tgt_dn),
-        )
-        manifest.add_artifact(dens_path)
+        rep, density = _grid_run(config, spec, schedule)
+        manifest.add_artifact(rep.to_csv(os.path.join(out_dir, "grid_report.csv")))
+        manifest.add_artifact(write_csv(os.path.join(out_dir, "final_density.csv"),
+                                        _DENSITY_HEADER, density))
         fid = rep.final_fidelity
         report = {
             "engine": "grid",
@@ -386,11 +420,7 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
-    rep_path = os.path.join(out_dir, "report.json")
-    with open(rep_path, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.add_artifact(rep_path)
+    manifest.add_artifact(write_json(os.path.join(out_dir, "report.json"), report))
     manifest.add_scalar("final_fidelity", fid)
     manifest.add_scalar("delta_e", spec.delta_e)
     manifest.write(config)
@@ -398,68 +428,38 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
     return EXIT_OK
 
 
-def _noninteracting_variant(config: RunConfig):
-    return replace(config, scheme="so_direction",
-                   g_uu=0.0, g_dd=0.0, g_ud=0.0, g_du=0.0)
-
-
 def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"):
     _ensure_out_dir(out_dir)
-    manifest = _Manifest(f"scan:{kind}", config, out_dir)
+    manifest = _Manifest(f"scan:{kind}", out_dir)
     if seed is not None:
         config = replace(config, seed=seed)
-    spec = build_transfer_spec(config)
-    if spec.scheme == "raman":
+    if config.scheme == "raman":
         raise ConfigError("scans require a tilted-field scheme "
                           "(transfer.scheme = so_direction[_interacting])")
+    if kind not in _SCAN_GRIDS:
+        raise ConfigError(f"unknown scan kind {kind!r}")
     if engine == "grid" and kind != "systematic":
         raise ConfigError("the grid engine is available for systematic scans only")
-
-    curves = [("", config)]
-    if spec.interacting:
-        curves = [("_noninteracting", _noninteracting_variant(config)),
-                  ("_interacting", config)]
-
-    grid_key = "lambda_grid" if kind == "systematic" else "lambda_prime_grid"
-    values = getattr(config, grid_key)
+    values = getattr(config, _SCAN_GRIDS[kind])
     if len(values) == 0:
         raise ConfigError("empty scan grid")
 
     total = 0
     failed = 0
-    for suffix, cfg in curves:
-        cspec = build_transfer_spec(cfg)
-        _, schedule = design_for_spec(cspec, cfg.sample_count)
-        if kind == "systematic":
-            if engine == "grid":
-                result = scan_systematic_grid(
-                    cspec, schedule, values,
-                    grid=_build_grid(cfg),
-                    dt=cfg.dt)
-            else:
-                result = scan_systematic(cspec, schedule, values,
-                                         OdeSettings(step=cfg.dt))
-        elif kind == "noise":
-            result = scan_noise(cspec, schedule, values, dt=cfg.dt)
-            if cfg.trajectories > 0:
-                oracle = np.full(len(values), np.nan)
-                oracle_se = np.full(len(values), np.nan)
-                for i, lam in enumerate(values):
-                    oracle[i], oracle_se[i] = stochastic_oracle(
-                        cspec, schedule, lam, trajectories=cfg.trajectories,
-                        seed=(cfg.seed, i))
-                path = write_csv(
-                    os.path.join(out_dir, f"scan_noise{suffix}.csv"),
-                    "lambda_prime,fidelity,oracle_fidelity,oracle_stderr",
-                    (values, result.fidelities, oracle, oracle_se),
-                )
-                manifest.add_artifact(path)
-                total += len(values)
-                failed += len(result.failures)
-                continue
+    for suffix, cfg, spec, schedule in _curves(config):
+        result = _scan(kind, engine, cfg, spec, schedule)
+        path = os.path.join(out_dir, f"scan_{kind}{suffix}.csv")
+        if kind == "noise" and cfg.trajectories > 0:
+            oracle = np.full(len(values), np.nan)
+            oracle_se = np.full(len(values), np.nan)
+            for i, lam in enumerate(values):
+                oracle[i], oracle_se[i] = stochastic_oracle(
+                    spec, schedule, lam, trajectories=cfg.trajectories,
+                    seed=(cfg.seed, i))
+            path = write_csv(path, "lambda_prime,fidelity,oracle_fidelity,oracle_stderr",
+                             (result.values, result.fidelities, oracle, oracle_se))
         else:
-            raise ConfigError(f"unknown scan kind {kind!r}")
-        path = result.to_csv(os.path.join(out_dir, f"scan_{kind}{suffix}.csv"))
+            path = result.to_csv(path)
         manifest.add_artifact(path)
         if kind == "systematic":
             curvature = result.curvature_at_zero()
@@ -477,116 +477,82 @@ def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"
     return EXIT_OK
 
 
-_FIGURES = ("fig2", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9")
+# Each figure maps the canonical config to its CSV tables
+# ``(file name, header, columns)`` and its manifest scalars.
+
+
+def _fig2(config: RunConfig):
+    alphas = (0.8, 1.2, 1.6, 2.0)
+    schedules = [_design(replace(config, alpha=a))[2] for a in alphas]
+    delta = schedules[0].channel_b
+    header = "t," + ",".join(f"Omega_alpha{a:g}" for a in alphas) + ",Delta"
+    columns = [schedules[0].times, *(s.channel_a for s in schedules), delta]
+    spread = max(float(np.max(np.abs(s.channel_b - delta))) for s in schedules[1:])
+    return [("fig2.csv", header, columns)], {"max_delta_spread": spread}
+
+
+def _trajectory_figure(figure, names, config: RunConfig):
+    """Columns of the two-level run's ``trajectory.csv`` observables."""
+    obs = _twolevel_run(config, *_design(config)).observables(stride=10)
+    scalars = {}
+    if "Pz" in names:  # the polarization figure records its endpoints
+        scalars = {"Pz_start": float(obs["Pz"][0]), "Pz_end": float(obs["Pz"][-1])}
+    return [(f"{figure}.csv", ",".join(names), [obs[name] for name in names])], scalars
+
+
+def _fig6(config: RunConfig):
+    tables, scalars = [], {}
+    for panel, c in (("a", 0.1), ("b", 1.5)):
+        cfg = replace(config, c=c)
+        spec, _, schedule = _design(cfg)
+        rep, density = _grid_run(cfg, spec, schedule)
+        tables.append((f"fig6{panel}.csv", _DENSITY_HEADER, density))
+        scalars[f"fidelity_c{c:g}"] = rep.final_fidelity
+    return tables, scalars
+
+
+def _fig7(config: RunConfig):
+    cfg = replace(config, scheme="so_direction_interacting")
+    (*_, non), (*_, inter) = _curves(cfg)
+    columns = (non.times, non.channel_a, non.channel_b, inter.channel_b)
+    return ([("fig7.csv", "t,theta1,beta_noninteracting,beta_interacting", columns)],
+            {"max_abs_theta1": non.max_abs_a})
+
+
+def _scan_figure(figure, kind, config: RunConfig):
+    cfg = replace(config, scheme="so_direction_interacting")
+    results = [(suffix, _scan(kind, "twolevel", c, spec, schedule))
+               for suffix, c, spec, schedule in _curves(cfg)]
+    first = results[0][1]
+    header = ",".join([first.parameter] + [f"fidelity{suffix}" for suffix, _ in results])
+    columns = [first.values] + [res.fidelities for _, res in results]
+    return [(f"{figure}.csv", header, columns)], {}
+
+
+_FIGURES = {
+    "fig2": _fig2,
+    "fig3": partial(_trajectory_figure, "fig3", ("t", "x_expect", "x_expect_over_lc")),
+    "fig4": partial(_trajectory_figure, "fig4", ("t", "Px", "Py", "Pz")),
+    "fig6": _fig6,
+    "fig7": _fig7,
+    "fig8": partial(_scan_figure, "fig8", "systematic"),
+    "fig9": partial(_scan_figure, "fig9", "noise"),
+}
 
 
 def cmd_reproduce(figure: str, out_dir):
     """Regenerate the datasets behind the reference figures from the
     canonical configuration."""
+    if figure not in _FIGURES:
+        raise ConfigError(f"unknown figure {figure!r}; choose from {tuple(_FIGURES)}")
     _ensure_out_dir(out_dir)
     config = RunConfig()
-    manifest = _Manifest(f"reproduce:{figure}", config, out_dir)
-
-    if figure == "fig2":
-        alphas = (0.8, 1.2, 1.6, 2.0)
-        schedules = []
-        for a in alphas:
-            cfg = replace(config, alpha=a)
-            spec = build_transfer_spec(cfg)
-            _, sched = design_for_spec(spec, cfg.sample_count)
-            schedules.append(sched)
-        cols = [schedules[0].times]
-        cols += [s.channel_a for s in schedules]
-        cols += [schedules[0].channel_b]
-        header = "t," + ",".join(f"Omega_alpha{a:g}" for a in alphas) + ",Delta"
-        path = write_csv(os.path.join(out_dir, "fig2.csv"), header, cols)
-        manifest.add_artifact(path)
-        spread = max(
-            float(np.max(np.abs(s.channel_b - schedules[0].channel_b)))
-            for s in schedules[1:]
-        )
-        manifest.add_scalar("max_delta_spread", spread)
-    elif figure in ("fig3", "fig4"):
-        spec = build_transfer_spec(config)
-        me, sched = design_for_spec(spec, config.sample_count)
-        traj = propagate(spec, me, sched, OdeSettings(step=config.dt))
-        if figure == "fig3":
-            xev = expectation_x(traj, me)
-            lc = characteristic_length(spec.morse)
-            path = write_csv(
-                os.path.join(out_dir, "fig3.csv"),
-                "t,x_expect,x_expect_over_lc",
-                (traj.times[::10], xev[::10], xev[::10] / lc),
-            )
-        else:
-            px, py, pz = spin_polarization(traj, me)
-            path = write_csv(
-                os.path.join(out_dir, "fig4.csv"),
-                "t,Px,Py,Pz",
-                (traj.times[::10], px[::10], py[::10], pz[::10]),
-            )
-            manifest.add_scalar("Pz_start", float(pz[0]))
-            manifest.add_scalar("Pz_end", float(pz[-1]))
-        manifest.add_artifact(path)
-    elif figure == "fig6":
-        for panel, c in (("a", 0.1), ("b", 1.5)):
-            cfg = replace(config, c=c)
-            spec = build_transfer_spec(cfg)
-            _, sched = design_for_spec(spec, cfg.sample_count)
-            grid = _build_grid(cfg)
-            fld = init_basis_state(grid, spec.morse, spec.n, "up", spec.alpha)
-            final, rep = evolve(fld, spec, sched, dt=cfg.dt)
-            dens_up, dens_dn = density_profile(final)
-            tgt_up, tgt_dn = density_profile(target_state(grid, spec))
-            path = write_csv(
-                os.path.join(out_dir, f"fig6{panel}.csv"),
-                "x,dens_up,dens_down,dens_target",
-                (grid.x, dens_up, dens_dn, tgt_up + tgt_dn),
-            )
-            manifest.add_artifact(path)
-            manifest.add_scalar(f"fidelity_c{c:g}", rep.final_fidelity)
-    elif figure == "fig7":
-        cfg = replace(config, scheme="so_direction_interacting")
-        ispec = build_transfer_spec(cfg)
-        me, sched_int = design_for_spec(ispec, cfg.sample_count)
-        nspec = build_transfer_spec(_noninteracting_variant(cfg))
-        _, sched_non = design_for_spec(nspec, cfg.sample_count)
-        path = write_csv(
-            os.path.join(out_dir, "fig7.csv"),
-            "t,theta1,beta_noninteracting,beta_interacting",
-            (sched_non.times, sched_non.channel_a,
-             sched_non.channel_b, sched_int.channel_b),
-        )
-        manifest.add_artifact(path)
-        manifest.add_scalar("max_abs_theta1", sched_non.max_abs_a)
-    elif figure in ("fig8", "fig9"):
-        cfg = replace(config, scheme="so_direction_interacting")
-        ispec = build_transfer_spec(cfg)
-        _, sched_int = design_for_spec(ispec, cfg.sample_count)
-        nspec = build_transfer_spec(_noninteracting_variant(cfg))
-        _, sched_non = design_for_spec(nspec, cfg.sample_count)
-        if figure == "fig8":
-            vals = np.asarray(cfg.lambda_grid)
-            r_non = scan_systematic(nspec, sched_non, vals, OdeSettings(step=cfg.dt))
-            r_int = scan_systematic(ispec, sched_int, vals, OdeSettings(step=cfg.dt))
-            path = write_csv(
-                os.path.join(out_dir, "fig8.csv"),
-                "lambda,fidelity_noninteracting,fidelity_interacting",
-                (vals, r_non.fidelities, r_int.fidelities),
-            )
-        else:
-            vals = np.asarray(cfg.lambda_prime_grid)
-            r_non = scan_noise(nspec, sched_non, vals, dt=cfg.dt)
-            r_int = scan_noise(ispec, sched_int, vals, dt=cfg.dt)
-            path = write_csv(
-                os.path.join(out_dir, "fig9.csv"),
-                "lambda_prime,fidelity_noninteracting,fidelity_interacting",
-                (vals, r_non.fidelities, r_int.fidelities),
-            )
-        manifest.add_artifact(path)
-    else:
-        raise ConfigError(f"unknown figure {figure!r}; choose from {_FIGURES}")
-
+    manifest = _Manifest(f"reproduce:{figure}", out_dir)
+    tables, scalars = _FIGURES[figure](config)
+    for name, header, columns in tables:
+        manifest.add_artifact(write_csv(os.path.join(out_dir, name), header, columns))
+    for name, value in scalars.items():
+        manifest.add_scalar(name, value)
     manifest.write(config)
     print(f"wrote {figure} dataset to {out_dir}")
     return EXIT_OK
@@ -620,14 +586,11 @@ def cmd_validate(json_path=None, fast=False):
         summary += f", {skipped} skipped"
     print(summary)
     if json_path:
-        payload = [
+        write_json(json_path, [
             {"label": r.label, "passed": r.passed, "skipped": r.skipped,
              "expected_fail": r.expected_fail, "details": r.details}
             for r in results
-        ]
-        with open(json_path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ])
     return EXIT_NUMERICAL if hard_fail else EXIT_OK
 
 

@@ -24,9 +24,10 @@ With the tilted-field mean field the position factor is spin diagonal, so
 it leaves |psi_up|^2 and |psi_down|^2 unchanged: both merged halves see the
 density the momentum step left, and computing it once per step is exact.
 The Raman coupling mixes the spins in position space, so a Raman mean field
-(reachable only from the library) keeps the per-point exponential with the
-density refreshed before every half-step, as in the time-splitting spectral
-scheme of Bao, Jaksch & Markowich, J. Comput. Phys. 187, 318 (2003).
+(``transfer.scheme = raman`` with any ``interaction.g_*`` set, run by
+``socmorse simulate --engine grid``) keeps the per-point exponential with
+the density refreshed before every half-step, as in the time-splitting
+spectral scheme of Bao, Jaksch & Markowich, J. Comput. Phys. 187, 318 (2003).
 """
 
 from __future__ import annotations

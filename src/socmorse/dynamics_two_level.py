@@ -46,10 +46,6 @@ class Trajectory:
     spec: TransferSpec
     me: MatrixElements
 
-    def populations(self):
-        p = np.abs(self.states) ** 2
-        return p[:, 0], p[:, 1]
-
     def norm(self):
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
@@ -64,18 +60,23 @@ class Trajectory:
     def final_fidelity(self) -> float:
         return float(np.abs(self.states[-1, 1]) ** 2)
 
-    def to_csv(self, path, stride: int = 1):
+    def observables(self, stride: int = 1):
+        """Every recorded observable by column name, each ``stride``-th record."""
         px, py, pz = spin_polarization(self, self.me)
         xev = expectation_x(self, self.me)
-        lc = characteristic_length(self.spec.morse)
-        c1, c2 = self.states[::stride].T
-        return write_csv(
-            path,
-            "t,re_c1,im_c1,re_c2,im_c2,Px,Py,Pz,x_expect,x_expect_over_lc,fidelity",
-            (self.times[::stride], c1.real, c1.imag, c2.real, c2.imag,
-             px[::stride], py[::stride], pz[::stride], xev[::stride],
-             xev[::stride] / lc, self.fidelity_series()[::stride]),
-        )
+        c1, c2 = self.states.T
+        columns = {
+            "t": self.times, "re_c1": c1.real, "im_c1": c1.imag,
+            "re_c2": c2.real, "im_c2": c2.imag, "Px": px, "Py": py, "Pz": pz,
+            "x_expect": xev,
+            "x_expect_over_lc": xev / characteristic_length(self.spec.morse),
+            "fidelity": self.fidelity_series(),
+        }
+        return {name: col[::stride] for name, col in columns.items()}
+
+    def to_csv(self, path, stride: int = 1):
+        columns = self.observables(stride)
+        return write_csv(path, ",".join(columns), columns.values())
 
 
 def half_step_nodes(t_f: float, step: float):

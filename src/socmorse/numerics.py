@@ -1,5 +1,5 @@
 """Shared numerical primitives: special functions, quadrature, the exact
-2x2 exponential, and the one CSV writer behind every artifact.
+2x2 exponential, and the one CSV and one JSON writer behind every artifact.
 
 Everything here is a pure function of its inputs; the specs are frozen
 dataclasses, so values can be shared freely between threads.
@@ -7,6 +7,7 @@ dataclasses, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "integrate",
     "su2_exp",
     "write_csv",
+    "write_json",
 ]
 
 
@@ -149,4 +151,12 @@ def write_csv(path, header, columns):
     with open(str(path), "w", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(line % row for row in zip(*columns))
+    return str(path)
+
+
+def write_json(path, data):
+    """Write ``data`` as indented JSON with sorted keys and a final LF."""
+    with open(str(path), "w", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return str(path)

@@ -21,18 +21,14 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DesignInfeasibleError, DomainError
 from .morse import MatrixElements, MorseSpec, overlap_Q
-from .numerics import write_csv
+from .numerics import write_csv, write_json
 
 __all__ = [
     "SCHEMES",
     "AdiabaticityWarning",
     "SmallAngleWarning",
     "TransferSpec",
-    "InvariantAngles",
     "PulseSchedule",
-    "theta_ansatz",
-    "phi_from_constraint",
-    "invariant_angles",
     "design_scheme1",
     "design_scheme2",
     "design_scheme2_interacting",
@@ -177,10 +173,6 @@ class _SmoothStepPath:
         out = 6.0 * np.pi * (1.0 - 2.0 * s) / self.t_f**2
         return out if out.ndim else float(out)
 
-    def coefficients(self):
-        """Polynomial coefficients (a0, a1, a2, a3) of the cubic."""
-        return (0.0, 0.0, 3.0 * np.pi / self.t_f**2, -2.0 * np.pi / self.t_f**3)
-
 
 def _mismatch_sin_cos(path: _SmoothStepPath, c: float, t):
     """sin and cos of (phi - phi_a) on the branch continuous inside (0, t_f).
@@ -214,62 +206,10 @@ def _dphi_a(path: _SmoothStepPath, c: float, t):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class InvariantAngles:
-    """Polar/azimuthal angles of the tracked eigenstate and their rates."""
-
-    theta_a: Callable
-    dtheta_a: Callable
-    phi_a: Callable
-    dphi_a: Callable
-
-
-def theta_ansatz(spec: TransferSpec):
-    """Polar-angle path and its rate for the given operation time.
-
-    The cubic is the unique polynomial satisfying theta(0)=0,
-    theta(t_f)=pi and zero endpoint rates; its midpoint value is pi/2 and
-    midpoint rate 3 pi / (2 t_f).
-    """
-    path = _SmoothStepPath(spec.t_f)
-
-    def theta(t):
-        return path.theta(t)
-
-    def dtheta(t):
-        return path.dtheta(t)
-
-    theta._path = path
-    return theta, dtheta
-
-
-def phi_from_constraint(spec: TransferSpec, theta_a, dtheta_a, phi: float):
-    """Azimuthal angle (and rate) solving the singularity-cancelling constraint.
-
-    ``phi`` is the constant coupling phase.  ``theta_a`` and ``dtheta_a``
-    must be the callables from :func:`theta_ansatz`; any other angle path
-    raises :class:`DomainError`.
-    """
-    path = getattr(theta_a, "_path", None)
-    if path is None:
-        raise DomainError("phi_from_constraint needs the angle path from theta_ansatz")
-
-    def phi_a(t):
-        s_pma, c_pma = _mismatch_sin_cos(path, spec.c, t)
-        out = phi - np.arctan2(s_pma, c_pma)
-        return out if np.ndim(out) else float(out)
-
-    def dphi_a(t):
-        return _dphi_a(path, spec.c, t)
-
-    return phi_a, dphi_a
-
-
-def invariant_angles(spec: TransferSpec, phi: float) -> InvariantAngles:
-    """Bundle of all four angle functions for one design."""
-    theta, dtheta = theta_ansatz(spec)
-    phi_a, dphi_a = phi_from_constraint(spec, theta, dtheta, phi)
-    return InvariantAngles(theta_a=theta, dtheta_a=dtheta, phi_a=phi_a, dphi_a=dphi_a)
+def _phi_a(path: _SmoothStepPath, c: float, phi: float, t: float) -> float:
+    """Azimuthal angle of the tracked eigenstate at time t for coupling phase phi."""
+    s_pma, c_pma = _mismatch_sin_cos(path, c, t)
+    return phi - math.atan2(s_pma, c_pma)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +318,6 @@ class PulseSchedule:
         )
         return out
 
-    def time_reversed(self) -> "PulseSchedule":
-        """Schedule run backwards in time (channels mirrored about t_f/2)."""
-        tf = self.t_f
-        fn_a = None if self.fn_a is None else (lambda t, f=self.fn_a: f(tf - np.asarray(t)))
-        fn_b = None if self.fn_b is None else (lambda t, f=self.fn_b: f(tf - np.asarray(t)))
-        return PulseSchedule(
-            times=self.times.copy(),
-            channel_a=self.channel_a[::-1].copy(),
-            channel_b=self.channel_b[::-1].copy(),
-            label_a=self.label_a,
-            label_b=self.label_b,
-            spec=self.spec,
-            coupling=self.coupling,
-            phi=self.phi,
-            fn_a=fn_a,
-            fn_b=fn_b,
-        )
-
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, csv_path, sidecar_path=None):
@@ -417,10 +339,7 @@ class PulseSchedule:
             "max_abs_a": self.max_abs_a,
             "sample_count": int(len(self.times)),
         }
-        with open(sidecar_path, "w", newline="\n") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return csv_path, sidecar_path
+        return csv_path, write_json(sidecar_path, meta)
 
     @classmethod
     def from_csv(cls, csv_path, sidecar_path=None):
@@ -613,8 +532,7 @@ def invariant_residual(schedule: PulseSchedule, t: float) -> float:
     path = _SmoothStepPath(spec.t_f)
     sin_t, cos_t = path.sin_cos_theta(t)
     dth = path.dtheta(t)
-    s_pma, c_pma = _mismatch_sin_cos(path, spec.c, t)
-    phi_a = schedule.phi - math.atan2(s_pma, c_pma)
+    phi_a = _phi_a(path, spec.c, schedule.phi, t)
     dphi = _dphi_a(path, spec.c, t)
 
     eip = np.exp(1j * phi_a)

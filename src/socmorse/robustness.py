@@ -24,7 +24,6 @@ from .pulse_design import PulseSchedule, TransferSpec
 _SCAN_FAILURES = (SocmorseError, FloatingPointError)
 
 __all__ = [
-    "InteractionSplit",
     "ScanResult",
     "bloch_propagate",
     "scan_systematic",
@@ -32,33 +31,6 @@ __all__ = [
     "scan_noise",
     "stochastic_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class InteractionSplit:
-    """Sum/difference combinations of the mean-field constants."""
-
-    g_d: float
-    g_s: float
-    g_d_prime: float
-    g_s_prime: float
-
-    @classmethod
-    def from_constants(cls, g11, g22, g12, g21):
-        return cls(
-            g_d=0.5 * (g11 - g22),
-            g_s=0.5 * (g11 + g22),
-            g_d_prime=0.5 * (g12 - g21),
-            g_s_prime=0.5 * (g12 + g21),
-        )
-
-    def reconstruct(self):
-        return (
-            self.g_s + self.g_d,
-            self.g_s - self.g_d,
-            self.g_s_prime + self.g_d_prime,
-            self.g_s_prime - self.g_d_prime,
-        )
 
 
 @dataclass
@@ -134,9 +106,9 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
         start = tuple(np.full(strength.shape, c) for c in start)
     with np.errstate(over="ignore"):
         damp = 0.5 * strength**2 * d * d
-    split = InteractionSplit.from_constants(*spec.g_effective)
-    gd_tot = split.g_d + split.g_d_prime
-    gs_tot = split.g_s - split.g_s_prime
+    g11, g22, g12, g21 = spec.g_effective
+    gd_tot = 0.5 * (g11 - g22) + 0.5 * (g12 - g21)
+    gs_tot = 0.5 * (g11 + g22) - 0.5 * (g12 + g21)
     x, y, z, damp = (node_table(t) for t in (2.0 * od.real, 2.0 * od.imag, z, damp))
 
     def deriv(j, u, v, w):

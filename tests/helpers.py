@@ -20,3 +20,26 @@ def constant_schedule(spec, coupling, amp, gap, n=64):
         fn_a=lambda t: np.full_like(np.asarray(t, dtype=float), amp),
         fn_b=lambda t: np.full_like(np.asarray(t, dtype=float), gap),
     )
+
+
+def time_reversed(schedule):
+    """The schedule run backwards in time (channels mirrored about t_f/2)."""
+    tf = schedule.t_f
+    fn_a, fn_b = schedule.fn_a, schedule.fn_b
+    return PulseSchedule(
+        times=schedule.times.copy(),
+        channel_a=schedule.channel_a[::-1].copy(),
+        channel_b=schedule.channel_b[::-1].copy(),
+        label_a=schedule.label_a,
+        label_b=schedule.label_b,
+        spec=schedule.spec,
+        coupling=schedule.coupling,
+        phi=schedule.phi,
+        fn_a=None if fn_a is None else (lambda t: fn_a(tf - np.asarray(t))),
+        fn_b=None if fn_b is None else (lambda t: fn_b(tf - np.asarray(t))),
+    )
+
+
+def smooth_step_coefficients(t_f):
+    """Polynomial coefficients (a0, a1, a2, a3) of the cubic polar-angle path."""
+    return (0.0, 0.0, 3.0 * np.pi / t_f**2, -2.0 * np.pi / t_f**3)

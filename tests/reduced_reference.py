@@ -3,8 +3,9 @@
 These are the straightforward per-point forms the library's batched core
 replaced, kept so the tests can hold it to them: the scalar RK4 loop of the
 amplitude equations with its own Hamiltonian assembly, the scalar Bloch
-vector loop of the master equation, the stochastic oracle with its inline
-2x2 exponential, and a general ODE propagator (fixed-step RK4 or adaptive
+vector loop of the master equation with its own sum/difference split of the
+mean-field constants, the stochastic oracle with its inline 2x2
+exponential, and a general ODE propagator (fixed-step RK4 or adaptive
 DOP853).  They share no stepping code with ``socmorse``.
 """
 
@@ -17,7 +18,33 @@ import scipy.integrate
 from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.morse import MatrixElements
 from socmorse.pulse_design import PulseSchedule, TransferSpec
-from socmorse.robustness import InteractionSplit
+
+
+@dataclass(frozen=True)
+class InteractionSplit:
+    """Sum/difference combinations of the mean-field constants."""
+
+    g_d: float
+    g_s: float
+    g_d_prime: float
+    g_s_prime: float
+
+    @classmethod
+    def from_constants(cls, g11, g22, g12, g21):
+        return cls(
+            g_d=0.5 * (g11 - g22),
+            g_s=0.5 * (g11 + g22),
+            g_d_prime=0.5 * (g12 - g21),
+            g_s_prime=0.5 * (g12 + g21),
+        )
+
+    def reconstruct(self):
+        return (
+            self.g_s + self.g_d,
+            self.g_s - self.g_d,
+            self.g_s_prime + self.g_d_prime,
+            self.g_s_prime - self.g_d_prime,
+        )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,14 @@ from socmorse.cli import (
     parse_config_text,
 )
 from socmorse.errors import ConfigError
+from socmorse.morse import MorseSpec, matrix_elements
+
+def read_csv(path):
+    """Header line and the numeric rows of a CLI CSV artifact."""
+    header, *lines = path.read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    return header, rows
+
 
 CANONICAL = """
 # canonical transfer problem
@@ -135,6 +143,19 @@ class TestCommands:
         for name in ("grid_report.csv", "final_density.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_simulate_grid_raman_mean_field(self, tmp_path):
+        # a Raman config with a raw coupling runs the grid engine's
+        # per-point mean-field step
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("transfer.scheme = raman\ninteraction.g_uu = 0.1\n"
+                       "grid.points = 512\ntransfer.t_f = 1\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--engine", "grid", "--config", str(cfg),
+                     "--out-dir", str(out)])
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert np.isfinite(report["final_fidelity"])
+
     def test_negative_grid_dt_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("grid.dt = -0.001\n")
@@ -170,6 +191,17 @@ class TestCommands:
         for suffix in ("_noninteracting", "_interacting"):
             name = f"scan_{kind}{suffix}.csv"
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_scan_seed_override_in_manifest(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("transfer.scheme = so_direction\ntransfer.t_f = 4\n"
+                       "noise.lambda_prime = 0, 0.5\nnoise.trajectories = 100\n")
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(cfg), "--kind", "noise", "--seed", "7",
+                     "--out-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["noise.seed"] == 7
+        assert "noise.seed = 7\n" in (out / "config_snapshot.txt").read_text()
 
     def test_diverging_noise_point_counted(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
@@ -270,6 +302,17 @@ class TestReproduce:
         header = (out / "fig2.csv").read_text().splitlines()[0]
         assert header == "t,Omega_alpha0.8,Omega_alpha1.2,Omega_alpha1.6,Omega_alpha2,Delta"
 
+    def test_fig3_ends_at_target_position(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["reproduce", "--figure", "fig3", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        header, rows = read_csv(out / "fig3.csv")
+        assert header == "t,x_expect,x_expect_over_lc"
+        assert rows.shape == (1001, 3)
+        # the transfer ends in |1>, so <x> ends at its diagonal moment
+        me = matrix_elements(0, 1, 1.6, MorseSpec(8.0))
+        assert rows[-1, 1] == pytest.approx(me.x_diag_l, abs=1e-5)
+
     def test_fig4_polarization_endpoints(self, tmp_path):
         out = tmp_path / "out"
         code = main(["reproduce", "--figure", "fig4", "--out-dir", str(out)])
@@ -292,3 +335,35 @@ class TestReproduce:
         spec = build_transfer_spec(replace(RunConfig(), scheme="so_direction_interacting"))
         assert first[3] - first[2] == pytest.approx(-spec.g11 + spec.g21, abs=1e-9)
         assert first[3] - first[2] == pytest.approx(-0.185, abs=0.002)
+
+    def test_fig6_density_panels(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["reproduce", "--figure", "fig6", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        for panel in ("a", "b"):
+            header, rows = read_csv(out / f"fig6{panel}.csv")
+            assert header == "x,dens_up,dens_down,dens_target"
+            assert rows.shape == (2048, 4)
+        manifest = json.loads((out / "manifest.json").read_text())
+        # criterion 6's window around the paper's grid fidelity
+        assert abs(manifest["scalars"]["fidelity_c0.1"] - 0.9966) <= 0.003
+
+    def test_fig8_peaks_at_zero_error(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["reproduce", "--figure", "fig8", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        header, rows = read_csv(out / "fig8.csv")
+        assert header == "lambda,fidelity_noninteracting,fidelity_interacting"
+        assert rows.shape == (21, 3)
+        for col in (1, 2):
+            assert rows[np.argmax(rows[:, col]), 0] == 0.0
+
+    def test_fig9_fidelity_falls_with_noise(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["reproduce", "--figure", "fig9", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        header, rows = read_csv(out / "fig9.csv")
+        assert header == "lambda_prime,fidelity_noninteracting,fidelity_interacting"
+        assert rows.shape == (21, 3)
+        for col in (1, 2):
+            assert np.all(np.diff(rows[:, col]) <= 0.0)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import smooth_step_coefficients, time_reversed
 from socmorse.errors import DesignInfeasibleError, DomainError
 from socmorse.morse import MorseSpec, matrix_elements
 from socmorse.pulse_design import (
@@ -11,15 +12,16 @@ from socmorse.pulse_design import (
     PulseSchedule,
     SmallAngleWarning,
     TransferSpec,
+    _dphi_a,
+    _mismatch_sin_cos,
+    _phi_a,
+    _SmoothStepPath,
     design_scheme1,
     design_scheme2,
     design_scheme2_interacting,
     effective_g,
-    invariant_angles,
     invariant_residual,
-    phi_from_constraint,
     raw_from_effective,
-    theta_ansatz,
 )
 
 A8 = MorseSpec(8.0)
@@ -103,71 +105,58 @@ class TestSpecValidation:
         assert again == spec1
 
 
+@pytest.fixture(scope="module")
+def path():
+    return _SmoothStepPath(T_F)
+
+
 class TestThetaAnsatz:
-    def test_cubic_coefficients(self, spec1):
-        theta, _ = theta_ansatz(spec1)
-        a0, a1, a2, a3 = theta._path.coefficients()
+    def test_cubic_coefficients(self, path):
+        a0, a1, a2, a3 = smooth_step_coefficients(T_F)
         assert (a0, a1) == (0.0, 0.0)
         assert a2 == pytest.approx(3 * math.pi / T_F**2, rel=1e-14)
         assert a3 == pytest.approx(-2 * math.pi / T_F**3, rel=1e-14)
         # the sampled cubic matches its coefficients
         t = np.linspace(0, T_F, 7)
-        assert np.allclose(theta(t), a2 * t**2 + a3 * t**3, atol=1e-12)
+        assert np.allclose(path.theta(t), a2 * t**2 + a3 * t**3, atol=1e-12)
 
-    def test_boundary_conditions(self, spec1):
-        theta, dtheta = theta_ansatz(spec1)
-        assert theta(0.0) == 0.0
-        assert theta(T_F) == pytest.approx(math.pi, abs=1e-14)
-        assert dtheta(0.0) == 0.0
-        assert dtheta(T_F) == pytest.approx(0.0, abs=1e-14)
+    def test_boundary_conditions(self, path):
+        assert path.theta(0.0) == 0.0
+        assert path.theta(T_F) == pytest.approx(math.pi, abs=1e-14)
+        assert path.dtheta(0.0) == 0.0
+        assert path.dtheta(T_F) == pytest.approx(0.0, abs=1e-14)
 
-    def test_midpoint_values(self, spec1):
-        theta, dtheta = theta_ansatz(spec1)
-        assert theta(T_F / 2) == pytest.approx(math.pi / 2, rel=1e-14)
-        assert dtheta(T_F / 2) == pytest.approx(3 * math.pi / (2 * T_F), rel=1e-14)
+    def test_midpoint_values(self, path):
+        assert path.theta(T_F / 2) == pytest.approx(math.pi / 2, rel=1e-14)
+        assert path.dtheta(T_F / 2) == pytest.approx(3 * math.pi / (2 * T_F), rel=1e-14)
 
-    def test_monotone(self, spec1):
-        theta, _ = theta_ansatz(spec1)
-        vals = theta(np.linspace(0, T_F, 4001))
+    def test_monotone(self, path):
+        vals = path.theta(np.linspace(0, T_F, 4001))
         assert np.all(np.diff(vals) >= 0)
 
 
 class TestConstraintAngles:
-    def test_endpoint_rates(self, spec1):
-        theta, dtheta = theta_ansatz(spec1)
-        _, dphi_a = phi_from_constraint(spec1, theta, dtheta, 0.3)
-        assert dphi_a(0.0) == pytest.approx(C / 2, rel=1e-12)
-        assert dphi_a(T_F) == pytest.approx(-C / 2, rel=1e-12)
+    def test_endpoint_rates(self, path):
+        assert _dphi_a(path, C, 0.0) == pytest.approx(C / 2, rel=1e-12)
+        assert _dphi_a(path, C, T_F) == pytest.approx(-C / 2, rel=1e-12)
         # continuity approaching the endpoints
-        assert dphi_a(1e-9) == pytest.approx(C / 2, rel=1e-6)
-        assert dphi_a(T_F - 1e-9) == pytest.approx(-C / 2, rel=1e-6)
+        assert _dphi_a(path, C, 1e-9) == pytest.approx(C / 2, rel=1e-6)
+        assert _dphi_a(path, C, T_F - 1e-9) == pytest.approx(-C / 2, rel=1e-6)
 
-    def test_midpoint_mismatch_angle(self, spec1):
+    def test_midpoint_mismatch_angle(self, path):
         phi = 0.7
-        theta, dtheta = theta_ansatz(spec1)
-        phi_a, _ = phi_from_constraint(spec1, theta, dtheta, phi)
         want = math.atan(3 * math.pi / (2 * T_F * C))
-        assert phi - phi_a(T_F / 2) == pytest.approx(want, rel=1e-12)
+        assert phi - _phi_a(path, C, phi, T_F / 2) == pytest.approx(want, rel=1e-12)
+        s_pma, c_pma = _mismatch_sin_cos(path, C, T_F / 2)
+        assert math.atan2(s_pma, c_pma) == pytest.approx(want, rel=1e-12)
 
-    def test_endpoint_mismatch_is_quarter_turn(self, spec1):
-        phi_a, _ = phi_from_constraint(spec1, *theta_ansatz(spec1), 0.0)
-        assert -phi_a(0.0) == pytest.approx(math.pi / 2, rel=1e-12)
-        assert -phi_a(T_F) == pytest.approx(math.pi / 2, rel=1e-12)
+    def test_endpoint_mismatch_is_quarter_turn(self, path):
+        assert -_phi_a(path, C, 0.0, 0.0) == pytest.approx(math.pi / 2, rel=1e-12)
+        assert -_phi_a(path, C, 0.0, T_F) == pytest.approx(math.pi / 2, rel=1e-12)
 
-    def test_negative_gap_parameter_flips_branch(self):
-        spec = quiet_spec(c=-0.1)
-        phi_a, dphi_a = phi_from_constraint(spec, *theta_ansatz(spec), 0.0)
-        assert -phi_a(0.0) == pytest.approx(-math.pi / 2, rel=1e-12)
-        assert dphi_a(0.0) == pytest.approx(-0.05, rel=1e-12)
-
-    def test_foreign_angle_path_rejected(self, spec1):
-        with pytest.raises(DomainError):
-            phi_from_constraint(spec1, lambda t: t, lambda t: 1.0, 0.0)
-
-    def test_bundle(self, spec1):
-        angles = invariant_angles(spec1, 0.3)
-        assert angles.theta_a(T_F / 2) == pytest.approx(math.pi / 2)
-        assert angles.dphi_a(0.0) == pytest.approx(C / 2)
+    def test_negative_gap_parameter_flips_branch(self, path):
+        assert -_phi_a(path, -0.1, 0.0, 0.0) == pytest.approx(-math.pi / 2, rel=1e-12)
+        assert _dphi_a(path, -0.1, 0.0) == pytest.approx(-0.05, rel=1e-12)
 
 
 class TestScheme1:
@@ -350,7 +339,7 @@ class TestScheduleObject:
         assert scaled.a_at(4.0) == sched1.a_at(4.0)
 
     def test_time_reversal(self, sched1):
-        rev = sched1.time_reversed()
+        rev = time_reversed(sched1)
         for t in (0.0, 2.5, 7.25, T_F):
             assert rev.a_at(t) == pytest.approx(sched1.a_at(T_F - t), abs=1e-14)
             assert rev.b_at(t) == pytest.approx(sched1.b_at(T_F - t), abs=1e-14)

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 import reduced_reference as reference
 from helpers import constant_schedule
-from reduced_reference import BlochState, bloch_rhs
+from reduced_reference import BlochState, InteractionSplit, bloch_rhs
 from socmorse.dynamics_grid import SpatialGrid
 from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.numerics import OdeSettings
 from socmorse.robustness import (
-    InteractionSplit,
     bloch_propagate,
     scan_noise,
     scan_systematic,

@@ -15,7 +15,7 @@ from socmorse.dynamics_two_level import (
 from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.morse import matrix_elements
 from socmorse.numerics import OdeSettings
-from helpers import constant_schedule
+from helpers import constant_schedule, time_reversed
 from reduced_reference import assemble_H, ode_propagate
 
 
@@ -53,7 +53,7 @@ class TestPropagate:
         assert np.all(np.abs(np.abs(traj.states[:, 0]) - 1.0) <= 1e-12)
 
     def test_reversed_schedule_returns(self, ctx):
-        rev = ctx.sched_raman.time_reversed()
+        rev = time_reversed(ctx.sched_raman)
         back = propagate(ctx.spec_raman, ctx.me, rev, initial=(0.0, 1.0))
         assert fidelity(back.final_state, target=1) >= 1.0 - 1e-9
 
@@ -68,9 +68,10 @@ class TestPropagate:
 
     def test_tracks_designed_angles(self, ctx):
         # the state follows the tracked eigenstate's polar/azimuthal angles
-        from socmorse.pulse_design import invariant_angles
+        from socmorse.pulse_design import _phi_a, _SmoothStepPath
 
-        angles = invariant_angles(ctx.spec_raman, ctx.me.phi_G)
+        spec = ctx.spec_raman
+        path = _SmoothStepPath(spec.t_f)
         traj = ctx.twolevel_raman
         sel = slice(200, len(traj.times) - 200, 400)
         c1 = traj.states[sel, 0]
@@ -81,8 +82,9 @@ class TestPropagate:
         for t, ui, vi, wi in zip(traj.times[sel], u, v, w):
             theta_state = math.acos(max(-1.0, min(1.0, wi)))
             phi_state = math.atan2(vi, ui)
-            dtheta = abs(theta_state - angles.theta_a(t))
-            dphi = (phi_state - angles.phi_a(t) + math.pi) % (2 * math.pi) - math.pi
+            dtheta = abs(theta_state - path.theta(t))
+            phi_a = _phi_a(path, spec.c, ctx.me.phi_G, t)
+            dphi = (phi_state - phi_a + math.pi) % (2 * math.pi) - math.pi
             assert dtheta <= 1e-4
             assert abs(dphi) <= 1e-4
 
@@ -124,7 +126,7 @@ class TestReferenceParity:
         assert np.max(np.abs(traj.states - states)) <= 1e-12
 
     def test_reversed_run_from_target(self, ctx):
-        rev = ctx.sched_raman.time_reversed()
+        rev = time_reversed(ctx.sched_raman)
         traj = propagate(ctx.spec_raman, ctx.me, rev, OdeSettings(step=2e-3),
                          initial=(0.0, 1.0))
         _, states = reference._rk4_two_level(ctx.spec_raman, rev, 2e-3, (0.0, 1.0), False)
