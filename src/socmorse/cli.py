@@ -267,9 +267,13 @@ def _ensure_out_dir(path):
 
 
 def _design(config: RunConfig):
-    """Spec, matrix elements and designed schedule of a config."""
+    """Spec, matrix elements and designed schedule of a config; a value the
+    design rejects is a configuration problem: :class:`ConfigError`."""
     spec = build_transfer_spec(config)
-    return (spec, *design_for_spec(spec, config.sample_count))
+    try:
+        return (spec, *design_for_spec(spec, config.sample_count))
+    except DomainError as exc:
+        raise ConfigError(f"bad design settings: {exc}") from exc
 
 
 def _twolevel_run(config: RunConfig, spec, me, schedule):

@@ -1,5 +1,5 @@
 """Exact propagation in the reduced two-state basis, and the one
-fixed-step integrator behind every reduced-model run.
+fixed-step RK4 behind every reduced-model run.
 
 States live in the ordered basis (initial vibrational state with spin up,
 target state with spin down); the Hamiltonian comes from the schedule's
@@ -10,6 +10,10 @@ norm preserving because that diagonal is real.
 :func:`rk4` steps a tuple of components that are Python scalars (one run)
 or ``(L,)`` arrays (one row per scan point, stepped together), with the
 drive tabulated once on the half-step node grid of :func:`half_step_nodes`.
+A linear model that needs only its final state (the non-interacting scans)
+takes :func:`rk4_linear`: the same RK4 step written as a transfer matrix,
+tabulated for blocks of steps and composed by pairwise products instead of
+a step loop.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "half_step_nodes",
     "node_table",
     "rk4",
+    "rk4_linear",
     "step_amplitudes",
     "propagate",
     "propagate_nonlinear",
@@ -122,6 +127,83 @@ def rk4(deriv, state, nsteps, h, stride=1):
     return steps, states
 
 
+# Steps whose transfer matrices rk4_linear tabulates at once.
+_BLOCK = 512
+
+
+def _matmul(a, b):
+    """Product of two stacks of small matrices, each held entry by entry
+    as a nested list of arrays with the stack on the leading axis."""
+    out = []
+    for row in a:
+        out_row = []
+        for c in range(len(b[0])):
+            acc = row[0] * b[0][c]
+            for k in range(1, len(b)):
+                acc = acc + row[k] * b[k][c]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _identity_plus(s, m):
+    """I + s m for a stack of matrices held as by :func:`_matmul`."""
+    return [[1.0 + s * e if r == c else s * e for c, e in enumerate(row)]
+            for r, row in enumerate(m)]
+
+
+def _ordered_product(p):
+    """p[m-1] @ ... @ p[1] @ p[0] of a stack of m matrices, by pairwise
+    products; an odd last matrix is carried to the next level."""
+    m = len(p[0][0])
+    while m > 1:
+        pairs = _matmul([[e[1:m:2] for e in row] for row in p],
+                        [[e[0:m - 1:2] for e in row] for row in p])
+        if m % 2:
+            pairs = [[np.concatenate((e, t[m - 1:])) for e, t in zip(prow, row)]
+                     for prow, row in zip(pairs, p)]
+        p, m = pairs, (m + 1) // 2
+    return p
+
+
+def rk4_linear(matrix, state, nsteps, h):
+    """:func:`rk4` with ``stride=None`` for a linear y' = A(t) y, without
+    a step loop.
+
+    ``matrix[r][c]`` holds A's (r, c) entry on the half-step nodes, with
+    shape ``(nodes,)`` or ``(nodes, L)`` for L columns stepped at once.
+    The same RK4 step, written out as a matrix, is y <- P_i y with
+    K1 = A0, K2 = A1 (I + h/2 K1), K3 = A1 (I + h/2 K2),
+    K4 = A2 (I + h K3) and P_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where
+    A0, A1, A2 sit on nodes 2i, 2i+1, 2i+2.  The P_i are tabulated entry
+    by entry for blocks of ``_BLOCK`` steps, each block is reduced by
+    pairwise products and the blocks are multiplied in step order.  Only
+    rounding differs from the step loop.  A column that overflows comes
+    back non-finite without touching the others.  Returns ``rk4``'s
+    ``(steps, states)``: the first and the last step.
+    """
+    tables = [[np.asarray(e) for e in row] for row in matrix]
+    if any(t.ndim == 2 for row in tables for t in row):
+        tables = [[t.reshape(len(t), -1) for t in row] for row in tables]
+    n = len(tables)
+    half, sixth = 0.5 * h, h / 6.0
+    total = None
+    for start in range(0, nsteps, _BLOCK):
+        stop = min(start + _BLOCK, nsteps)
+        a0, a1, a2 = ([[t[2 * start + j:2 * stop + j:2] for t in row] for row in tables]
+                      for j in (0, 1, 2))
+        k1 = a0
+        k2 = _matmul(a1, _identity_plus(half, k1))
+        k3 = _matmul(a1, _identity_plus(half, k2))
+        k4 = _matmul(a2, _identity_plus(h, k3))
+        block = _ordered_product(_identity_plus(sixth, [
+            [k1[r][c] + 2.0 * (k2[r][c] + k3[r][c]) + k4[r][c] for c in range(n)]
+            for r in range(n)]))
+        total = block if total is None else _matmul(block, total)
+    final = tuple(sum(total[r][c][0] * state[c] for c in range(n)) for r in range(n))
+    return [0, nsteps], [tuple(state), final]
+
+
 def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stride=1):
     """Amplitudes under H = [[z/2 + n1, od], [conj(od), -z/2 + n2]] by :func:`rk4`.
 
@@ -129,8 +211,16 @@ def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stri
     ``(nodes,)`` or ``(nodes, L)`` for L runs stepped at once.  With
     mean-field constants ``g = (g11, g22, g12, g21)`` the diagonal adds
     n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2 from the populations p.
-    Returns ``rk4``'s ``(steps, states)``; nothing is checked here.
+    A linear run that keeps only its ends (``g`` None, ``stride=None``)
+    takes :func:`rk4_linear` instead of the step loop.  Returns ``rk4``'s
+    ``(steps, states)``; nothing is checked here.
     """
+    if g is None and stride is None:
+        hz = 0.5 * np.asarray(z)
+        odc = np.conj(od)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rk4_linear(((-1j * hz, -1j * od), (-1j * odc, 1j * hz)),
+                              initial, nsteps, h)
     hz, od, odc = (node_table(t) for t in (0.5 * np.asarray(z), od, np.conj(od)))
     g11, g22, g12, g21 = g or (0.0,) * 4
 

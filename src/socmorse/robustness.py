@@ -5,6 +5,12 @@ amplitude, and white amplitude noise on the same channel.  The noise
 average obeys a master equation with a double-commutator dephasing term;
 an ensemble of stochastic trajectories with per-step phase kicks serves
 as its independent oracle.
+
+Each scan is one batched call over its points.  Without interactions the
+model is linear and a scan needs only the final state, so the RK4 runs as
+a product of per-step transfer matrices
+(:func:`~socmorse.dynamics_two_level.rk4_linear`), not as a step loop;
+the mean-field scans keep the step loop.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics_two_level import half_step_nodes, node_table, rk4, step_amplitudes
+from .dynamics_two_level import (half_step_nodes, node_table, rk4, rk4_linear,
+                                 step_amplitudes)
 from .errors import DomainError, NumericalFailureError, SocmorseError
 from .numerics import OdeSettings, su2_exp, write_csv
 from .pulse_design import PulseSchedule, TransferSpec
@@ -22,6 +29,9 @@ from .pulse_design import PulseSchedule, TransferSpec
 # Failures a scan records per point before moving on.  Anything else is a
 # programming error and propagates rather than becoming a NaN point.
 _SCAN_FAILURES = (SocmorseError, FloatingPointError)
+
+# Steps whose noise draws and kicks the oracle holds at once.
+_ORACLE_BLOCK = 512
 
 __all__ = [
     "ScanResult",
@@ -89,6 +99,9 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     noise_strength^2 D(t)^2 / 2, where D is the Zeeman amplitude.  Returns
     (times, states) with rows (u, v, w), recorded every ``record_stride``
     steps and at the end (only at the ends with ``record_stride=None``).
+    Without the w-dependent pull (g_s total zero) and with
+    ``record_stride=None`` the model is linear and runs by
+    :func:`~socmorse.dynamics_two_level.rk4_linear`; otherwise by ``rk4``.
 
     An array of noise strengths steps one column per strength at once and
     gives states of shape (records, 3, L); a column that overflows comes
@@ -109,18 +122,23 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     g11, g22, g12, g21 = spec.g_effective
     gd_tot = 0.5 * (g11 - g22) + 0.5 * (g12 - g21)
     gs_tot = 0.5 * (g11 + g22) - 0.5 * (g12 + g21)
-    x, y, z, damp = (node_table(t) for t in (2.0 * od.real, 2.0 * od.imag, z, damp))
-
-    def deriv(j, u, v, w):
-        z_eff = z[j] + gd_tot + gs_tot * w
-        return (
-            -damp[j] * u + z_eff * v - y[j] * w,
-            -z_eff * u - damp[j] * v + x[j] * w,
-            y[j] * u - x[j] * v,
-        )
-
+    x, y, z_eff = 2.0 * od.real, 2.0 * od.imag, z + gd_tot
     with np.errstate(over="ignore", invalid="ignore"):
-        steps, states = rk4(deriv, start, nsteps, h, record_stride)
+        if record_stride is None and gs_tot == 0.0:
+            steps, states = rk4_linear(((-damp, z_eff, -y), (-z_eff, -damp, x),
+                                        (y, -x, np.zeros_like(x))), start, nsteps, h)
+        else:
+            x, y, z_eff, damp = (node_table(t) for t in (x, y, z_eff, damp))
+
+            def deriv(j, u, v, w):
+                zw = z_eff[j] + gs_tot * w
+                return (
+                    -damp[j] * u + zw * v - y[j] * w,
+                    -zw * u - damp[j] * v + x[j] * w,
+                    y[j] * u - x[j] * v,
+                )
+
+            steps, states = rk4(deriv, start, nsteps, h, record_stride)
     states = np.array(states)
     if strength.ndim == 0 and not np.all(np.isfinite(states[-1])):
         raise NumericalFailureError(f"non-finite Bloch vector by t={spec.t_f:.6g}",
@@ -157,16 +175,17 @@ def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
     """Fidelity when the Zeeman channel is scaled by (1 + lambda).
 
     All points propagate the (mean-field, when the spec carries
-    interactions) two-level model together, one row of the Zeeman table
-    per point; a point whose final amplitudes are non-finite or whose norm
+    interactions) two-level model together, one column of the Zeeman
+    table per point, (E_n - E_l) + (1 + lambda) b(t) from one evaluation
+    of b; a point whose final amplitudes are non-finite or whose norm
     drifted by more than 1e-6 is recorded as a failure.
     """
     def run(lambdas):
         nsteps, h, nodes = half_step_nodes(spec.t_f, settings.step)
-        terms = [schedule.with_channel_b_scaled(1.0 + lam).reduced_terms(nodes)
-                 for lam in lambdas]
-        z = np.stack([zl for zl, _ in terms], axis=1)
-        _, states = step_amplitudes(z, terms[0][1], nsteps, h,
+        _, od = schedule.reduced_terms(nodes)
+        b = np.asarray(schedule.b_at(nodes), dtype=float)
+        z = (spec.energy_n - spec.energy_l) + b[:, None] * (1.0 + lambdas)
+        _, states = step_amplitudes(z, od, nsteps, h,
                                     spec.g_effective if spec.interacting else None,
                                     stride=None)
         c1, c2 = states[-1]
@@ -233,6 +252,12 @@ def scan_noise(spec: TransferSpec, schedule: PulseSchedule, lambdas_prime,
     return _batched_scan("lambda_prime", lambdas_prime, spec, run)
 
 
+def _midpoint_step(h11, h22, od, h):
+    """(phase, u11, u12, u21, u22) of exp(-i h [[h11, od], [conj(od), h22]])."""
+    return (np.exp(-1j * h * (0.5 * (h11 + h22))),
+            *su2_exp(0.5 * (h11 - h22), od, h))
+
+
 def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
                       lambda_prime: float, trajectories: int = 1000,
                       seed: int = 0, dt: float = 1e-3):
@@ -244,7 +269,10 @@ def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
     reduced model; the symmetric placement makes the noise/drift splitting
     second-order weak.  Per-trajectory noise streams are derived
     deterministically from (seed, trajectory index), so the result does
-    not depend on evaluation order.  Returns (fidelity, stderr).
+    not depend on evaluation order; they are drawn ``_ORACLE_BLOCK`` steps
+    at a time, which leaves each stream unchanged.  Without interactions
+    the deterministic step does not depend on the state and is tabulated
+    once for every midpoint.  Returns (fidelity, stderr).
     """
     _require_tilt_schedule(schedule)
     if trajectories < 100:
@@ -253,35 +281,38 @@ def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
     mids = (np.arange(nsteps) + 0.5) * h
     z_m, od_m = schedule.reduced_terms(mids)
     d_m = np.asarray(schedule.b_at(mids), dtype=float)
+    kick_scale = (-0.25 * lambda_prime * d_m * np.sqrt(h))[:, None]
     g11, g22, g12, g21 = spec.g_effective
     nonlinear = spec.interacting
-
-    noise = np.empty((nsteps, trajectories))
-    for i in range(trajectories):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(i,)))
-        noise[:, i] = rng.standard_normal(nsteps)
+    if not nonlinear:
+        tabled = _midpoint_step(0.5 * z_m, -0.5 * z_m, od_m, h)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            for i in range(trajectories)]
 
     c1 = np.ones(trajectories, dtype=complex)
     c2 = np.zeros(trajectories, dtype=complex)
-    sqrt_h = np.sqrt(h)
-    for j in range(nsteps):
-        od = od_m[j]
-        h11 = 0.5 * z_m[j]
-        h22 = -0.5 * z_m[j]
-        if nonlinear:
-            p1 = c1.real**2 + c1.imag**2
-            p2 = c2.real**2 + c2.imag**2
-            h11 = h11 + g11 * p1 + g12 * p2
-            h22 = h22 + g21 * p1 + g22 * p2
-        mean = 0.5 * (h11 + h22)
-        phase = np.exp(-1j * h * mean)
-        u11, u12, u21, u22 = su2_exp(0.5 * (h11 - h22), od, h)
-        half_kick = np.exp(-0.25j * lambda_prime * d_m[j] * sqrt_h * noise[j])
-        a1 = c1 * half_kick
-        a2 = c2 * np.conj(half_kick)
-        c1 = phase * (u11 * a1 + u12 * a2) * half_kick
-        c2 = phase * (u21 * a1 + u22 * a2) * np.conj(half_kick)
+    for start in range(0, nsteps, _ORACLE_BLOCK):
+        stop = min(start + _ORACLE_BLOCK, nsteps)
+        theta = np.empty((stop - start, trajectories))
+        for i, rng in enumerate(rngs):
+            theta[:, i] = rng.standard_normal(stop - start)
+        theta *= kick_scale[start:stop]
+        kicks = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=kicks.real)
+        np.sin(theta, out=kicks.imag)
+        for j, half_kick, conj_kick in zip(range(start, stop), kicks, kicks.conj()):
+            if nonlinear:
+                p1 = c1.real**2 + c1.imag**2
+                p2 = c2.real**2 + c2.imag**2
+                phase, u11, u12, u21, u22 = _midpoint_step(
+                    0.5 * z_m[j] + g11 * p1 + g12 * p2,
+                    -0.5 * z_m[j] + g21 * p1 + g22 * p2, od_m[j], h)
+            else:
+                phase, u11, u12, u21, u22 = (s[j] for s in tabled)
+            a1 = c1 * half_kick
+            a2 = c2 * conj_kick
+            c1 = phase * (u11 * a1 + u12 * a2) * half_kick
+            c2 = phase * (u21 * a1 + u22 * a2) * conj_kick
 
     target_pop = c2.real**2 + c2.imag**2
     fid = float(np.mean(target_pop))

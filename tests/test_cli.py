@@ -168,6 +168,7 @@ class TestCommands:
         (["design"], "transfer.t_f = -1"),
         (["simulate", "--engine", "twolevel"], "transfer.t_f = -1"),
         (["simulate", "--engine", "grid"], "grid.points = 1000"),
+        (["design"], "design.sample_count = 8"),
     ])
     def test_config_domain_error_exits_config(self, tmp_path, capsys, command, setting):
         cfg = tmp_path / "bad.cfg"

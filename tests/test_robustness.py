@@ -198,6 +198,21 @@ class TestReferenceParity:
         want = reference.scan_noise(spec, sched, self.LAMBDAS_PRIME, dt=self.DT)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["linear", "mean_field"])
+    @pytest.mark.parametrize("edge", ["one_point", "odd_steps"])
+    def test_scans_at_batch_edges(self, ctx, case, edge):
+        spec, sched = ((ctx.spec_tilt, ctx.sched_tilt) if case == "linear"
+                       else (ctx.spec_interacting, ctx.sched_compensated))
+        lambdas, lambdas_prime, dt = (([0.05], [0.55], self.DT) if edge == "one_point"
+                                      else (self.LAMBDAS, self.LAMBDAS_PRIME,
+                                            spec.t_f / 2501))
+        got = scan_systematic(spec, sched, lambdas, OdeSettings(step=dt)).fidelities
+        want = reference.scan_systematic(spec, sched, lambdas, step=dt)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        got = scan_noise(spec, sched, lambdas_prime, dt=dt).fidelities
+        want = reference.scan_noise(spec, sched, lambdas_prime, dt=dt)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_bloch_records(self, ctx):
         times, states = bloch_propagate(ctx.spec_interacting, ctx.sched_compensated,
                                         0.4, record_stride=7)

@@ -5,11 +5,14 @@ import pytest
 
 import reduced_reference as reference
 from socmorse.dynamics_two_level import (
+    _BLOCK,
     Trajectory,
     expectation_x,
     fidelity,
     propagate,
     propagate_nonlinear,
+    rk4,
+    rk4_linear,
     spin_polarization,
 )
 from socmorse.errors import DomainError, NumericalFailureError
@@ -141,6 +144,70 @@ class TestReferenceParity:
             reference._rk4_two_level(ctx.spec_tilt, sched, 1e-3, (1.0 + 0j, 0j), False)
         assert str(err.value) == str(want.value)
         assert err.value.time == want.value.time
+
+
+class TestRk4Linear:
+    """The loop-free linear RK4 against the step loop, on random
+    time-dependent generators over t in [0, 1]: A = -iH with H Hermitian
+    (2x2 complex) and rotations plus damping (3x3 real), so the state
+    stays of order one."""
+
+    COLUMNS = 3
+
+    @staticmethod
+    def _generator(n, nsteps, seed):
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 1.0, 2 * nsteps + 1)[:, None]
+
+        def entry(dtype):
+            amp = rng.uniform(-2.0, 2.0, size=(1, TestRk4Linear.COLUMNS))
+            if dtype is complex:
+                amp = amp + 1j * rng.uniform(-2.0, 2.0, size=amp.shape)
+            return amp * np.cos(rng.uniform(1.0, 9.0) * t + rng.uniform(0.0, 6.0))
+
+        if n == 2:
+            d, w = entry(float), entry(complex)
+            # one entry shared by every column, as a 1-D table
+            d[:, 1:] = d[:, :1]
+            return ((-1j * d[:, 0], -1j * w), (-1j * np.conj(w), 1j * d[:, 0]))
+        x, y, z, damp = entry(float), entry(float), entry(float), np.abs(entry(float))
+        return ((-damp, z, -y), (-z, -damp, x), (y, -x, np.zeros_like(x)))
+
+    @staticmethod
+    def _both(matrix, nsteps):
+        n = len(matrix)
+        start = tuple(np.full(TestRk4Linear.COLUMNS, (r + 1.0) / n) for r in range(n))
+        tables = [[np.asarray(e) for e in row] for row in matrix]
+
+        def deriv(j, *y):
+            return tuple(sum(tables[r][c][j] * y[c] for c in range(n)) for r in range(n))
+
+        h = 1.0 / nsteps
+        want_steps, want = rk4(deriv, start, nsteps, h, None)
+        got_steps, got = rk4_linear(matrix, start, nsteps, h)
+        assert got_steps == want_steps
+        assert np.array_equal(np.array(got[0]), np.array(want[0]))
+        return np.array(got[-1]), np.array(want[-1])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("nsteps", [1, 2, 7, 2 * _BLOCK + 37])
+    def test_matches_step_loop(self, n, nsteps):
+        got, want = self._both(self._generator(n, nsteps, seed=nsteps + n), nsteps)
+        assert np.max(np.abs(want)) >= 0.1
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    def test_overflowing_column_stays_apart(self, n):
+        nsteps = _BLOCK + 5
+        matrix = self._generator(n, nsteps, seed=11)
+        matrix[0][1][:, 1] = 1e300  # the generator of column 1 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = self._both(matrix, nsteps)
+        assert not np.all(np.isfinite(got[:, 1]))
+        keep = [0, 2]
+        assert np.all(np.isfinite(got[:, keep]))
+        assert np.max(np.abs(got[:, keep] - want[:, keep])) <= 1e-13
 
 
 class TestNonlinear:
