@@ -7,9 +7,10 @@ target state with spin down); the Hamiltonian comes from the schedule's
 form.  The mean-field variant adds the state-dependent diagonal and remains
 norm preserving because that diagonal is real.
 
-:func:`rk4` steps a tuple of components that are Python scalars (one run)
-or ``(L,)`` arrays (one row per scan point, stepped together), with the
-drive tabulated once on the half-step node grid of :func:`half_step_nodes`.
+:func:`rk4` steps a tuple of Python scalars (one run, the cheapest form
+for a single state) or one stacked array whose columns are scan points,
+stepped together, with the drive tabulated once on the half-step node grid
+of :func:`half_step_nodes`.
 A linear model that needs only its final state (the non-interacting scans)
 takes :func:`rk4_linear`: the same RK4 step written as a transfer matrix,
 tabulated for blocks of steps and composed by pairwise products instead of
@@ -30,7 +31,6 @@ from .pulse_design import PulseSchedule, TransferSpec
 __all__ = [
     "Trajectory",
     "half_step_nodes",
-    "node_table",
     "rk4",
     "rk4_linear",
     "step_amplitudes",
@@ -87,17 +87,13 @@ class Trajectory:
 def half_step_nodes(t_f: float, step: float):
     """``(nsteps, h, nodes)``: the number and size of fixed steps that cover
     ``t_f`` nearest to ``step``, and the node grid 0, h/2, h, ..., t_f on
-    which :func:`rk4` evaluates the drive."""
+    which :func:`rk4` evaluates the drive.  Raises :class:`DomainError`
+    unless both are finite and positive."""
+    if not (np.isfinite(step) and step > 0.0 and np.isfinite(t_f) and t_f > 0.0):
+        raise DomainError(f"need a finite positive step and duration, got "
+                          f"step={step:.6g}, t_f={t_f:.6g}")
     nsteps = max(1, int(round(t_f / step)))
     return nsteps, t_f / nsteps, np.linspace(0.0, t_f, 2 * nsteps + 1)
-
-
-def node_table(values):
-    """A drive table ready for per-node lookup: a 1-D table becomes a list
-    of Python scalars (much faster to index and to combine with scalar
-    states); a ``(nodes, L)`` table stays an array of rows."""
-    values = np.asarray(values)
-    return values.tolist() if values.ndim == 1 else values
 
 
 def rk4(deriv, state, nsteps, h, stride=1):
@@ -212,29 +208,51 @@ def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stri
     mean-field constants ``g = (g11, g22, g12, g21)`` the diagonal adds
     n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2 from the populations p.
     A linear run that keeps only its ends (``g`` None, ``stride=None``)
-    takes :func:`rk4_linear` instead of the step loop.  Returns ``rk4``'s
-    ``(steps, states)``; nothing is checked here.
+    takes :func:`rk4_linear` instead of the step loop.  One run steps
+    Python scalars; L runs step one stacked ``(2, L)`` state Y with the
+    drive folded into per-node tables, dY = (D_j + G p) Y + O_j Y[::-1].
+    Returns ``rk4``'s ``(steps, states)`` with ``(c1, c2)`` rows; nothing
+    is checked here.
     """
+    z, od = np.asarray(z), np.asarray(od)
     if g is None and stride is None:
-        hz = 0.5 * np.asarray(z)
+        hz = 0.5 * z
         odc = np.conj(od)
         with np.errstate(over="ignore", invalid="ignore"):
             return rk4_linear(((-1j * hz, -1j * od), (-1j * odc, 1j * hz)),
                               initial, nsteps, h)
-    hz, od, odc = (node_table(t) for t in (0.5 * np.asarray(z), od, np.conj(od)))
-    g11, g22, g12, g21 = g or (0.0,) * 4
+    if z.ndim == 1 and od.ndim == 1:
+        hz, od, odc = (t.tolist() for t in (0.5 * z, od, np.conj(od)))
+        g11, g22, g12, g21 = g or (0.0,) * 4
 
-    def deriv(j, a1, a2):
-        h11, h22 = hz[j], -hz[j]
-        if g:
-            p1 = a1.real * a1.real + a1.imag * a1.imag
-            p2 = a2.real * a2.real + a2.imag * a2.imag
-            h11 = h11 + (g11 * p1 + g12 * p2)
-            h22 = h22 + (g21 * p1 + g22 * p2)
-        return -1j * (h11 * a1 + od[j] * a2), -1j * (odc[j] * a1 + h22 * a2)
+        def deriv(j, a1, a2):
+            h11, h22 = hz[j], -hz[j]
+            if g:
+                p1 = a1.real * a1.real + a1.imag * a1.imag
+                p2 = a2.real * a2.real + a2.imag * a2.imag
+                h11 = h11 + (g11 * p1 + g12 * p2)
+                h22 = h22 + (g21 * p1 + g22 * p2)
+            return -1j * (h11 * a1 + od[j] * a2), -1j * (odc[j] * a1 + h22 * a2)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rk4(deriv, initial, nsteps, h, stride)
+
+    hz, od = 0.5 * z.reshape(len(z), -1), od.reshape(len(od), -1)
+    diag = -1j * np.stack((hz, -hz), axis=1)
+    off = -1j * np.stack((od, od.conj()), axis=1)
+    start = np.empty((2, max(hz.shape[1], od.shape[1])), dtype=complex)
+    start[0], start[1] = initial
+    if g:
+        g11, g22, g12, g21 = g
+        coupling = -1j * np.array([[g11, g12], [g21, g22]])
+
+    def deriv(j, y):
+        d = diag[j] + coupling @ (y * y.conj()).real if g else diag[j]
+        return (d * y + off[j] * y[::-1],)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return rk4(deriv, initial, nsteps, h, stride)
+        steps, states = rk4(deriv, (start,), nsteps, h, stride)
+    return steps, [tuple(y) for y, in states]
 
 
 def _propagate(spec, me, schedule, settings, initial, nonlinear):

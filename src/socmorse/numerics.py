@@ -61,8 +61,8 @@ class OdeSettings:
     step: float = 1e-3
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise DomainError("step must be positive")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise DomainError("step must be finite and positive")
 
 
 def log_gamma(x):

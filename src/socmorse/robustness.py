@@ -9,8 +9,10 @@ as its independent oracle.
 Each scan is one batched call over its points.  Without interactions the
 model is linear and a scan needs only the final state, so the RK4 runs as
 a product of per-step transfer matrices
-(:func:`~socmorse.dynamics_two_level.rk4_linear`), not as a step loop;
-the mean-field scans keep the step loop.
+(:func:`~socmorse.dynamics_two_level.rk4_linear`), not as a step loop.
+The mean-field scans keep the step loop, but each step advances one
+stacked state, ``(2, L)`` amplitudes or ``(3, L)`` Bloch vectors for L
+points, with the drive tabulated per node before the loop.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics_two_level import (half_step_nodes, node_table, rk4, rk4_linear,
-                                 step_amplitudes)
+from .dynamics_two_level import half_step_nodes, rk4, rk4_linear, step_amplitudes
 from .errors import DomainError, NumericalFailureError, SocmorseError
 from .numerics import OdeSettings, su2_exp, write_csv
 from .pulse_design import PulseSchedule, TransferSpec
@@ -103,8 +104,9 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     ``record_stride=None`` the model is linear and runs by
     :func:`~socmorse.dynamics_two_level.rk4_linear`; otherwise by ``rk4``.
 
-    An array of noise strengths steps one column per strength at once and
-    gives states of shape (records, 3, L); a column that overflows comes
+    An array of noise strengths steps one ``(3, L)`` state, one column per
+    strength, with the shared drive as a per-node 3x3 table, and gives
+    states of shape (records, 3, L); a column that overflows comes
     back non-finite instead of raising, so one bad point cannot sink the
     batch.  A single strength raises :class:`NumericalFailureError` then.
     """
@@ -116,19 +118,21 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     start = (0.0, 0.0, 1.0)
     if strength.ndim:
         d = d[:, None]
-        start = tuple(np.full(strength.shape, c) for c in start)
+        start = np.zeros((3,) + strength.shape)
+        start[2] = 1.0
     with np.errstate(over="ignore"):
         damp = 0.5 * strength**2 * d * d
     g11, g22, g12, g21 = spec.g_effective
     gd_tot = 0.5 * (g11 - g22) + 0.5 * (g12 - g21)
     gs_tot = 0.5 * (g11 + g22) - 0.5 * (g12 + g21)
     x, y, z_eff = 2.0 * od.real, 2.0 * od.imag, z + gd_tot
+    zero = np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
         if record_stride is None and gs_tot == 0.0:
             steps, states = rk4_linear(((-damp, z_eff, -y), (-z_eff, -damp, x),
-                                        (y, -x, np.zeros_like(x))), start, nsteps, h)
-        else:
-            x, y, z_eff, damp = (node_table(t) for t in (x, y, z_eff, damp))
+                                        (y, -x, zero)), start, nsteps, h)
+        elif strength.ndim == 0:
+            x, y, z_eff, damp = (t.tolist() for t in (x, y, z_eff, damp))
 
             def deriv(j, u, v, w):
                 zw = z_eff[j] + gs_tot * w
@@ -139,6 +143,18 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
                 )
 
             steps, states = rk4(deriv, start, nsteps, h, record_stride)
+        else:
+            drive = np.stack((zero, z_eff, -y, -z_eff, zero, x, y, -x, zero),
+                             axis=1).reshape(-1, 3, 3)
+            pull = np.array([[gs_tot], [-gs_tot]])
+
+            def deriv(j, s):
+                out = drive[j] @ s
+                out[:2] += (pull * s[2]) * s[1::-1] - damp[j] * s[:2]
+                return (out,)
+
+            steps, states = rk4(deriv, (start,), nsteps, h, record_stride)
+            states = [s for s, in states]
     states = np.array(states)
     if strength.ndim == 0 and not np.all(np.isfinite(states[-1])):
         raise NumericalFailureError(f"non-finite Bloch vector by t={spec.t_f:.6g}",
@@ -238,15 +254,21 @@ def scan_systematic_grid(spec: TransferSpec, schedule: PulseSchedule, lambdas,
 def scan_noise(spec: TransferSpec, schedule: PulseSchedule, lambdas_prime,
                dt: float = 1e-3) -> ScanResult:
     """Master-equation fidelity (1 - w)/2 at t_f for each noise strength,
-    all strengths in one batched :func:`bloch_propagate` call."""
+    all strengths in one batched :func:`bloch_propagate` call; a point whose
+    final Bloch vector is non-finite or longer than 1 + 1e-6 is recorded as
+    a failure.  An invalid ``dt`` raises instead."""
     _require_tilt_schedule(schedule)
+    half_step_nodes(spec.t_f, dt)  # an invalid dt raises here, not per point
 
     def run(strengths):
         _, states = bloch_propagate(spec, schedule, strengths, dt=dt, record_stride=None)
         final = states[-1]
-        problems = [None if ok else
+        finite = np.all(np.isfinite(final), axis=0)
+        length = np.hypot(np.hypot(final[0], final[1]), final[2])
+        problems = [None if r <= 1.0 + 1e-6 else
+                    f"NumericalFailureError: Bloch vector grew to length {r:.6g}" if ok else
                     f"NumericalFailureError: non-finite Bloch vector by t={spec.t_f:.6g}"
-                    for ok in np.all(np.isfinite(final), axis=0)]
+                    for ok, r in zip(finite, length)]
         return 0.5 * (1.0 - final[2]), problems
 
     return _batched_scan("lambda_prime", lambdas_prime, spec, run)

@@ -50,9 +50,11 @@ def test_criterion_8_compensation_two_level(ctx):
 
 
 @pytest.mark.xfail(strict=True,
-                   reason="known infeasible at the canonical parameters: exact "
-                          "tilt trigonometry on the grid leaks ~2% population "
-                          "(peak tilt ~0.33 rad); measured fidelity ~0.983")
+                   reason="known infeasible at the canonical parameters: the "
+                          "design omits the second-order shift kappa sin^2(theta1), "
+                          "kappa = 0.723, from the other levels (only ~0.2% of "
+                          "the population leaves the two states); measured "
+                          "fidelity ~0.983")
 def test_criterion_8g_compensation_grid(ctx):
     _run(acceptance.criterion_8g_gpe_grid, ctx)
 

@@ -196,21 +196,24 @@ class TestMeanFieldGrid:
     """Full-grid behaviour of the compensated interacting design.
 
     The two claims below are the designed behaviour of the reduced model,
-    but on the grid the exact tilt trigonometry leaks roughly 2% of the
-    population to other levels at the canonical parameters, which dominates
-    the comparison; see the acceptance notes.  They are kept as strict
-    expected failures so any change in this behaviour is flagged.
+    but on the grid the spin-flip coupling to every other level shifts the
+    detuning by kappa sin^2(theta1), kappa = 0.723 at the canonical
+    parameters, a second-order shift the design does not include yet; it
+    dominates the comparison, while only about 0.2% of the population
+    leaves the two states (see the acceptance notes).  They are kept as
+    strict expected failures so any change in this behaviour is flagged.
     """
 
     @pytest.mark.xfail(strict=True,
-                       reason="multilevel leakage at peak tilt ~0.33 rad caps the "
+                       reason="the uncorrected second-order shift kappa "
+                              "sin^2(theta1) at peak tilt ~0.33 rad caps the "
                               "grid fidelity near 0.983")
     def test_compensated_reaches_target_fidelity(self, ctx):
         assert ctx.gpe_run_compensated[1].final_fidelity >= 0.99
 
     @pytest.mark.xfail(strict=True,
-                       reason="uncompensated detuning error partially cancels the "
-                              "tilt-linearization error on the grid")
+                       reason="the uncompensated detuning error partially cancels "
+                              "the uncorrected second-order shift on the grid")
     def test_compensated_beats_uncompensated(self, ctx):
         assert (ctx.gpe_run_compensated[1].final_fidelity
                 > ctx.gpe_run_uncompensated[1].final_fidelity)
@@ -220,8 +223,8 @@ class TestMeanFieldGrid:
         assert 0.97 <= ctx.gpe_run_uncompensated[1].final_fidelity < 1.0
 
     def test_mean_field_polarization_endpoints(self, ctx):
-        # the same multilevel leakage as above holds the final polarization
-        # about 0.03 short of a full flip (see the repository notes)
+        # the same uncorrected second-order shift as above holds the final
+        # polarization about 0.03 short of a full flip (see the repository notes)
         rep = ctx.gpe_run_compensated[1]
         assert rep.Pz[0] == pytest.approx(1.0, abs=1e-9)
         assert rep.Pz[-1] == pytest.approx(-1.0, abs=0.05)

@@ -239,6 +239,14 @@ class TestNoiseScan:
         assert np.isnan(res.fidelities[1])
         assert np.all(np.isfinite(res.fidelities[[0, 2]]))
 
+    def test_grown_bloch_vector_recorded(self, ctx):
+        # one step over the whole schedule is legal but leaves |r| > 1
+        res = scan_noise(ctx.spec_tilt, ctx.sched_tilt, [0.0, 0.5], dt=ctx.spec_tilt.t_f)
+        assert [i for i, _ in res.failures] == [0, 1]
+        assert all(msg.startswith("NumericalFailureError: Bloch vector grew to length")
+                   for _, msg in res.failures)
+        assert np.all(np.isnan(res.fidelities))
+
     def test_diverging_single_run_raises(self, ctx):
         with pytest.raises(NumericalFailureError):
             bloch_propagate(ctx.spec_tilt, ctx.sched_tilt, 1e200)
@@ -264,6 +272,62 @@ class TestNoiseScan:
         lines = open(path).read().splitlines()
         assert lines[0] == "lambda_prime,fidelity,stderr"
         assert len(lines) == 3
+
+
+class TestStackedScans:
+    """Mean-field scans step one stacked state for every point; each column
+    must behave as its own run."""
+
+    DT = 2e-3
+
+    def test_bloch_records_match_scalar_runs(self, ctx):
+        spec, sched = ctx.spec_interacting, ctx.sched_compensated
+        strengths = np.array([0.0, 0.4, 1.0])
+        times, states = bloch_propagate(spec, sched, strengths, dt=self.DT, record_stride=7)
+        assert states.shape == (len(times), 3, len(strengths))
+        for col, lam in enumerate(strengths):
+            want_t, want = bloch_propagate(spec, sched, lam, dt=self.DT, record_stride=7)
+            assert np.array_equal(times, want_t)
+            assert np.max(np.abs(states[:, :, col] - want)) <= 1e-12
+
+    def test_overflowing_systematic_point_stays_apart(self, ctx):
+        res = scan_systematic(ctx.spec_interacting, ctx.sched_compensated,
+                              [-0.1, 1e300, 0.1], OdeSettings(step=self.DT))
+        assert [i for i, _ in res.failures] == [1]
+        assert np.all(np.isfinite(res.fidelities[[0, 2]]))
+
+    def test_diverging_noise_point_stays_apart(self, ctx):
+        res = scan_noise(ctx.spec_interacting, ctx.sched_compensated,
+                         [0.0, 1e200, 0.1], dt=self.DT)
+        assert [i for i, _ in res.failures] == [1]
+        assert np.all(np.isfinite(res.fidelities[[0, 2]]))
+
+
+class TestInvalidStep:
+    """A step that is not finite and positive is a domain error at every
+    entry point, never a silent result."""
+
+    STEPS = [-1e-3, 0.0, float("nan"), float("inf")]
+
+    @pytest.mark.parametrize("dt", STEPS)
+    def test_scan_systematic_settings(self, dt):
+        with pytest.raises(DomainError):
+            OdeSettings(step=dt)
+
+    @pytest.mark.parametrize("dt", STEPS)
+    def test_scan_noise(self, ctx, dt):
+        with pytest.raises(DomainError):
+            scan_noise(ctx.spec_tilt, ctx.sched_tilt, [0.0, 0.5], dt=dt)
+
+    @pytest.mark.parametrize("dt", STEPS)
+    def test_bloch_propagate(self, ctx, dt):
+        with pytest.raises(DomainError):
+            bloch_propagate(ctx.spec_tilt, ctx.sched_tilt, 0.5, dt=dt)
+
+    @pytest.mark.parametrize("dt", STEPS)
+    def test_stochastic_oracle(self, ctx, dt):
+        with pytest.raises(DomainError):
+            stochastic_oracle(ctx.spec_tilt, ctx.sched_tilt, 0.5, trajectories=100, dt=dt)
 
 
 class TestStochasticOracle:

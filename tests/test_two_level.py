@@ -9,11 +9,13 @@ from socmorse.dynamics_two_level import (
     Trajectory,
     expectation_x,
     fidelity,
+    half_step_nodes,
     propagate,
     propagate_nonlinear,
     rk4,
     rk4_linear,
     spin_polarization,
+    step_amplitudes,
 )
 from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.morse import matrix_elements
@@ -208,6 +210,28 @@ class TestRk4Linear:
         keep = [0, 2]
         assert np.all(np.isfinite(got[:, keep]))
         assert np.max(np.abs(got[:, keep] - want[:, keep])) <= 1e-13
+
+
+class TestStackedAmplitudes:
+    """The stacked (2, L) step of ``step_amplitudes`` against one scalar run
+    per column, with mean-field constants and records."""
+
+    def test_records_match_scalar_runs(self, ctx):
+        spec, sched = ctx.spec_interacting, ctx.sched_compensated
+        nsteps, h, nodes = half_step_nodes(spec.t_f, spec.t_f / 1000)
+        _, od = sched.reduced_terms(nodes)
+        scale = 1.0 + np.array([-0.3, 0.0, 0.2])
+        z = (spec.energy_n - spec.energy_l) + np.asarray(sched.b_at(nodes))[:, None] * scale
+        steps, states = step_amplitudes(z, od, nsteps, h, spec.g_effective, stride=7)
+        got = np.array(states)
+        assert got.shape == (len(steps), 2, len(scale))
+        assert steps[-1] == nsteps and nsteps % 7
+        for col in range(len(scale)):
+            want_steps, want = step_amplitudes(z[:, col], od, nsteps, h, spec.g_effective,
+                                               stride=7)
+            assert want_steps == steps
+            assert np.max(np.abs(got[:, :, col] - np.array(want))) <= 1e-12
+        assert np.abs(got[-1, 1, 1]) ** 2 >= 1.0 - 1e-6
 
 
 class TestNonlinear:
