@@ -395,16 +395,6 @@ def criterion_10_numerical_hygiene(ctx: AcceptanceContext) -> CriterionResult:
     return chk.result("10. numerical hygiene")
 
 
-_FAST = (
-    criterion_1_bound_structure,
-    criterion_2_overlap_constants,
-    criterion_3_design_endpoints,
-    criterion_4_alpha_invariance,
-    criterion_5_two_level_transfer,
-    criterion_8_compensation,
-    criterion_9_robustness,
-)
-
 _SLOW = (
     criterion_6_grid_headline,
     criterion_7_grid_observables,

@@ -36,7 +36,13 @@ from .pulse_design import (
     design_scheme2_interacting,
     effective_g,
 )
-from .robustness import scan_noise, scan_systematic, scan_systematic_grid, stochastic_oracle
+from .robustness import (
+    MIN_TRAJECTORIES,
+    scan_noise,
+    scan_systematic,
+    scan_systematic_grid,
+    stochastic_oracle,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -71,8 +77,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError(f"grid.dt must be positive, got {self.dt!r}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"grid.dt must be finite and positive, got {self.dt!r}")
+        if self.trajectories != 0 and self.trajectories < MIN_TRAJECTORIES:
+            raise ConfigError(f"noise.trajectories must be 0 (no oracle) or at least "
+                              f"{MIN_TRAJECTORIES}, got {self.trajectories}")
 
 
 _KEYS = {

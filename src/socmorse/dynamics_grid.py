@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy import fft as sp_fft
 
+from .dynamics_two_level import half_step_nodes
 from .errors import ConfigError, DomainError, NumericalFailureError
 from .morse import MorseSpec, eigenfunction, potential
 from .numerics import su2_exp, write_csv
@@ -242,7 +243,9 @@ def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
     leaves each |psi|^2 as the momentum step left it and one density per
     step serves both halves exactly.  With a Raman mean field the position
     factor mixes the spins, so the density is refreshed before each
-    half-step.  Raises :class:`DomainError` unless ``dt > 0``, ``t_f > 0``
+    half-step.  The steps come from the one step rule,
+    :func:`~socmorse.dynamics_two_level.half_step_nodes`.  Raises
+    :class:`DomainError` unless ``dt`` and ``t_f`` are finite and positive
     and ``record_stride >= 1``.
     """
     raman = spec.scheme == "raman"
@@ -253,13 +256,10 @@ def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
         )
     if t_f is None:
         t_f = schedule.t_f
-    if not (dt > 0 and t_f > 0):
-        raise DomainError(f"need dt > 0 and t_f > 0, got dt={dt!r}, t_f={t_f!r}")
+    nsteps, h, _ = half_step_nodes(t_f, dt)
     if not record_stride >= 1:
         raise DomainError(f"record_stride must be at least 1, got {record_stride!r}")
     grid = fld.grid
-    nsteps = max(1, int(round(t_f / dt)))
-    h = t_f / nsteps
     tau = 0.5 * h
     mids = (np.arange(nsteps) + 0.5) * h
     amp_mid = np.asarray(schedule.a_at(mids), dtype=float)

@@ -38,7 +38,6 @@ __all__ = [
     "propagate_nonlinear",
     "spin_polarization",
     "expectation_x",
-    "fidelity",
 ]
 
 
@@ -54,13 +53,6 @@ class Trajectory:
     def norm(self):
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
-    def fidelity_series(self, target: int = 2):
-        return np.abs(self.states[:, target - 1]) ** 2
-
-    @property
-    def final_state(self):
-        return self.states[-1]
-
     @property
     def final_fidelity(self) -> float:
         return float(np.abs(self.states[-1, 1]) ** 2)
@@ -75,7 +67,7 @@ class Trajectory:
             "re_c2": c2.real, "im_c2": c2.imag, "Px": px, "Py": py, "Pz": pz,
             "x_expect": xev,
             "x_expect_over_lc": xev / characteristic_length(self.spec.morse),
-            "fidelity": self.fidelity_series(),
+            "fidelity": np.abs(c2) ** 2,
         }
         return {name: col[::stride] for name, col in columns.items()}
 
@@ -87,7 +79,8 @@ class Trajectory:
 def half_step_nodes(t_f: float, step: float):
     """``(nsteps, h, nodes)``: the number and size of fixed steps that cover
     ``t_f`` nearest to ``step``, and the node grid 0, h/2, h, ..., t_f on
-    which :func:`rk4` evaluates the drive.  Raises :class:`DomainError`
+    which :func:`rk4` evaluates the drive.  The one step-grid rule of every
+    propagator, the grid engine's included.  Raises :class:`DomainError`
     unless both are finite and positive."""
     if not (np.isfinite(step) and step > 0.0 and np.isfinite(t_f) and t_f > 0.0):
         raise DomainError(f"need a finite positive step and duration, got "
@@ -319,10 +312,3 @@ def expectation_x(traj: Trajectory, me: MatrixElements):
     p2 = np.abs(traj.states[:, 1]) ** 2
     return p1 * me.x_diag_n + p2 * me.x_diag_l
 
-
-def fidelity(state, target: int = 2) -> float:
-    """Squared amplitude on the requested basis state (1 or 2)."""
-    if target not in (1, 2):
-        raise DomainError("target index must be 1 or 2")
-    c = np.asarray(state, dtype=complex)
-    return float(np.abs(c[target - 1]) ** 2)

@@ -174,24 +174,14 @@ def quadrature_window(spec: MorseSpec, *states: BoundState):
     return -5.0, upper, points
 
 
-def _pair(spec, n, l):
-    return spec.bound_state(n), spec.bound_state(l)
-
-
 @lru_cache(maxsize=256)
-def _overlap_q_cached(n, l, depth_A):
-    spec = MorseSpec(depth_A)
-    sn, sl = _pair(spec, n, l)
+def overlap_Q(n: int, l: int, spec: MorseSpec) -> float:
+    """Density-density overlap of two bound states (symmetric in n, l)."""
+    sn, sl = spec.bound_state(n), spec.bound_state(l)
     un, ul = eigenfunction(sn, spec), eigenfunction(sl, spec)
     lo, hi, pts = quadrature_window(spec, sn, sn, sl, sl)
     q = QuadratureSpec(lo, hi, tolerance=1e-10, max_subdivisions=400, breakpoints=pts)
     return integrate(lambda x: un(x) ** 2 * ul(x) ** 2, q).real
-
-
-def overlap_Q(n: int, l: int, spec: MorseSpec) -> float:
-    """Density-density overlap of two bound states (symmetric in n, l)."""
-    _pair(spec, n, l)  # validate
-    return _overlap_q_cached(int(n), int(l), float(spec.depth_A))
 
 
 def position_moment(n: int, spec: MorseSpec) -> float:
@@ -204,9 +194,13 @@ def position_moment(n: int, spec: MorseSpec) -> float:
 
 
 @lru_cache(maxsize=64)
-def _matrix_elements_cached(n, l, alpha, depth_A):
-    spec = MorseSpec(depth_A)
-    sn, sl = _pair(spec, n, l)
+def matrix_elements(n: int, l: int, alpha: float, spec: MorseSpec) -> MatrixElements:
+    """Reduced-basis matrix elements for the (n, l) transfer at strength alpha.
+
+    The real eigenfunctions make S (the reversed-boost overlap) the complex
+    conjugate of G, so it is not integrated separately.
+    """
+    sn, sl = spec.bound_state(n), spec.bound_state(l)
     un = eigenfunction(sn, spec)
     ul = eigenfunction(sl, spec)
     dul = eigenfunction_derivative(sl, spec)
@@ -230,16 +224,6 @@ def _matrix_elements_cached(n, l, alpha, depth_A):
         x_diag_n=position_moment(n, spec),
         x_diag_l=position_moment(l, spec),
     )
-
-
-def matrix_elements(n: int, l: int, alpha: float, spec: MorseSpec) -> MatrixElements:
-    """Reduced-basis matrix elements for the (n, l) transfer at strength alpha.
-
-    The real eigenfunctions make S (the reversed-boost overlap) the complex
-    conjugate of G, so it is not integrated separately.
-    """
-    _pair(spec, n, l)  # validate
-    return _matrix_elements_cached(int(n), int(l), float(alpha), float(spec.depth_A))
 
 
 def finite_difference_levels(

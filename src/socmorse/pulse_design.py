@@ -320,11 +320,9 @@ class PulseSchedule:
 
     # -- serialization ------------------------------------------------------
 
-    def to_csv(self, csv_path, sidecar_path=None):
+    def to_csv(self, csv_path):
         """Write samples as CSV plus a JSON sidecar with the metadata."""
         csv_path = str(csv_path)
-        if sidecar_path is None:
-            sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
         write_csv(csv_path, "t,channel_a,channel_b",
                   (self.times, self.channel_a, self.channel_b))
         meta = {
@@ -339,15 +337,15 @@ class PulseSchedule:
             "max_abs_a": self.max_abs_a,
             "sample_count": int(len(self.times)),
         }
-        return csv_path, write_json(sidecar_path, meta)
+        return csv_path, write_json(_sidecar_path(csv_path), meta)
 
     @classmethod
-    def from_csv(cls, csv_path, sidecar_path=None):
+    def from_csv(cls, csv_path):
+        """Read a schedule written by :meth:`to_csv`; channels are then
+        evaluated by cubic splines through the samples."""
         csv_path = str(csv_path)
-        if sidecar_path is None:
-            sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-        with open(sidecar_path) as fh:
+        with open(_sidecar_path(csv_path)) as fh:
             meta = json.load(fh)
         spec = TransferSpec.from_dict(meta["spec"])
         return cls(
@@ -360,6 +358,11 @@ class PulseSchedule:
             coupling=complex(meta["coupling"][0], meta["coupling"][1]),
             phi=meta["phi"],
         )
+
+
+def _sidecar_path(csv_path: str) -> str:
+    """The JSON metadata file that goes with a schedule CSV."""
+    return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
 
 
 # ---------------------------------------------------------------------------

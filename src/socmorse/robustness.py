@@ -6,19 +6,20 @@ average obeys a master equation with a double-commutator dephasing term;
 an ensemble of stochastic trajectories with per-step phase kicks serves
 as its independent oracle.
 
-Each scan is one batched call over its points.  Without interactions the
-model is linear and a scan needs only the final state, so the RK4 runs as
-a product of per-step transfer matrices
-(:func:`~socmorse.dynamics_two_level.rk4_linear`), not as a step loop.
-The mean-field scans keep the step loop, but each step advances one
-stacked state, ``(2, L)`` amplitudes or ``(3, L)`` Bloch vectors for L
-points, with the drive tabulated per node before the loop.
+Each scan is one batched call over its points, and a single Bloch run is
+a batch of one.  Without interactions the model is linear and a scan
+needs only the final state, so the RK4 runs as a product of per-step
+transfer matrices (:func:`~socmorse.dynamics_two_level.rk4_linear`), not
+as a step loop.  The mean-field scans keep the step loop, but each step
+advances one stacked state, ``(2, L)`` amplitudes or ``(3, L)`` Bloch
+vectors for L points, with the drive tabulated per node before the loop.
+The Zeeman term of every reduced-model scan comes from
+:meth:`~socmorse.pulse_design.PulseSchedule.reduced_terms`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +35,11 @@ _SCAN_FAILURES = (SocmorseError, FloatingPointError)
 # Steps whose noise draws and kicks the oracle holds at once.
 _ORACLE_BLOCK = 512
 
+# Fewest trajectories the stochastic oracle averages over.
+MIN_TRAJECTORIES = 100
+
 __all__ = [
+    "MIN_TRAJECTORIES",
     "ScanResult",
     "bloch_propagate",
     "scan_systematic",
@@ -52,8 +57,6 @@ class ScanResult:
     values: np.ndarray
     fidelities: np.ndarray
     spec: TransferSpec
-    stderr: Optional[np.ndarray] = None
-    seed: Optional[int] = None
     failures: tuple = ()
 
     def __post_init__(self):
@@ -63,11 +66,8 @@ class ScanResult:
             raise DomainError("scan columns must have equal length")
 
     def to_csv(self, path):
-        if self.stderr is None:
-            return write_csv(path, f"{self.parameter},fidelity",
-                             (self.values, self.fidelities))
-        return write_csv(path, f"{self.parameter},fidelity,stderr",
-                         (self.values, self.fidelities, self.stderr))
+        return write_csv(path, f"{self.parameter},fidelity",
+                         (self.values, self.fidelities))
 
     def curvature_at_zero(self, window: float = 0.16):
         """Quadratic-fit curvature of the fidelity around parameter zero.
@@ -104,24 +104,23 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     ``record_stride=None`` the model is linear and runs by
     :func:`~socmorse.dynamics_two_level.rk4_linear`; otherwise by ``rk4``.
 
-    An array of noise strengths steps one ``(3, L)`` state, one column per
-    strength, with the shared drive as a per-node 3x3 table, and gives
-    states of shape (records, 3, L); a column that overflows comes
+    Every run steps one ``(3, L)`` state, one column per noise strength,
+    with the shared drive as a per-node 3x3 table.  An array of L strengths
+    gives states of shape (records, 3, L); a column that overflows comes
     back non-finite instead of raising, so one bad point cannot sink the
-    batch.  A single strength raises :class:`NumericalFailureError` then.
+    batch.  A single strength runs as a batch of one, gives states of shape
+    (records, 3) and raises :class:`NumericalFailureError` when its final
+    Bloch vector is non-finite.
     """
     _require_tilt_schedule(schedule)
     nsteps, h, nodes = half_step_nodes(spec.t_f, dt)
     z, od = schedule.reduced_terms(nodes)
-    d = np.asarray(schedule.b_at(nodes), dtype=float)
+    d = np.asarray(schedule.b_at(nodes), dtype=float)[:, None]
     strength = np.asarray(noise_strength, dtype=float)
-    start = (0.0, 0.0, 1.0)
-    if strength.ndim:
-        d = d[:, None]
-        start = np.zeros((3,) + strength.shape)
-        start[2] = 1.0
+    start = np.zeros((3, strength.size))
+    start[2] = 1.0
     with np.errstate(over="ignore"):
-        damp = 0.5 * strength**2 * d * d
+        damp = 0.5 * strength.reshape(-1)**2 * d * d
     g11, g22, g12, g21 = spec.g_effective
     gd_tot = 0.5 * (g11 - g22) + 0.5 * (g12 - g21)
     gs_tot = 0.5 * (g11 + g22) - 0.5 * (g12 + g21)
@@ -131,18 +130,6 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
         if record_stride is None and gs_tot == 0.0:
             steps, states = rk4_linear(((-damp, z_eff, -y), (-z_eff, -damp, x),
                                         (y, -x, zero)), start, nsteps, h)
-        elif strength.ndim == 0:
-            x, y, z_eff, damp = (t.tolist() for t in (x, y, z_eff, damp))
-
-            def deriv(j, u, v, w):
-                zw = z_eff[j] + gs_tot * w
-                return (
-                    -damp[j] * u + zw * v - y[j] * w,
-                    -zw * u - damp[j] * v + x[j] * w,
-                    y[j] * u - x[j] * v,
-                )
-
-            steps, states = rk4(deriv, start, nsteps, h, record_stride)
         else:
             drive = np.stack((zero, z_eff, -y, -z_eff, zero, x, y, -x, zero),
                              axis=1).reshape(-1, 3, 3)
@@ -156,9 +143,11 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
             steps, states = rk4(deriv, (start,), nsteps, h, record_stride)
             states = [s for s, in states]
     states = np.array(states)
-    if strength.ndim == 0 and not np.all(np.isfinite(states[-1])):
-        raise NumericalFailureError(f"non-finite Bloch vector by t={spec.t_f:.6g}",
-                                    time=spec.t_f)
+    if strength.ndim == 0:
+        states = states[..., 0]
+        if not np.all(np.isfinite(states[-1])):
+            raise NumericalFailureError(f"non-finite Bloch vector by t={spec.t_f:.6g}",
+                                        time=spec.t_f)
     return np.array(steps) * h, states
 
 
@@ -192,15 +181,16 @@ def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
 
     All points propagate the (mean-field, when the spec carries
     interactions) two-level model together, one column of the Zeeman
-    table per point, (E_n - E_l) + (1 + lambda) b(t) from one evaluation
-    of b; a point whose final amplitudes are non-finite or whose norm
-    drifted by more than 1e-6 is recorded as a failure.
+    table per point, Z(t) + lambda b(t) with Z from the schedule's
+    :meth:`~socmorse.pulse_design.PulseSchedule.reduced_terms`; a point
+    whose final amplitudes are non-finite or whose norm drifted by more
+    than 1e-6 is recorded as a failure.
     """
     def run(lambdas):
         nsteps, h, nodes = half_step_nodes(spec.t_f, settings.step)
-        _, od = schedule.reduced_terms(nodes)
+        z, od = schedule.reduced_terms(nodes)
         b = np.asarray(schedule.b_at(nodes), dtype=float)
-        z = (spec.energy_n - spec.energy_l) + b[:, None] * (1.0 + lambdas)
+        z = z[:, None] + b[:, None] * lambdas
         _, states = step_amplitudes(z, od, nsteps, h,
                                     spec.g_effective if spec.interacting else None,
                                     stride=None)
@@ -227,28 +217,21 @@ def scan_systematic_grid(spec: TransferSpec, schedule: PulseSchedule, lambdas,
     """
     from .dynamics_grid import SpatialGrid, evolve, init_basis_state
 
-    if grid is None:
-        grid = SpatialGrid()
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size == 0:
-        raise DomainError("empty scan grid")
-    start = init_basis_state(grid, spec.morse, spec.n, "up", spec.alpha)
-    fidelities = np.full(lambdas.shape, np.nan)
-    failures = []
-    for i, lam in enumerate(lambdas):
-        try:
-            _, report = evolve(start.copy(), spec,
-                               schedule.with_channel_b_scaled(1.0 + lam), dt=dt)
-            fidelities[i] = report.final_fidelity
-        except _SCAN_FAILURES as exc:
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
-    return ScanResult(
-        parameter="lambda",
-        values=lambdas,
-        fidelities=fidelities,
-        spec=spec,
-        failures=tuple(failures),
-    )
+    start = init_basis_state(grid or SpatialGrid(), spec.morse, spec.n, "up", spec.alpha)
+
+    def run(lambdas):
+        fidelities, problems = np.full(lambdas.shape, np.nan), []
+        for i, lam in enumerate(lambdas):
+            try:
+                _, report = evolve(start.copy(), spec,
+                                   schedule.with_channel_b_scaled(1.0 + lam), dt=dt)
+                fidelities[i], problem = report.final_fidelity, None
+            except _SCAN_FAILURES as exc:
+                problem = f"{type(exc).__name__}: {exc}"
+            problems.append(problem)
+        return fidelities, problems
+
+    return _batched_scan("lambda", lambdas, spec, run)
 
 
 def scan_noise(spec: TransferSpec, schedule: PulseSchedule, lambdas_prime,
@@ -297,8 +280,8 @@ def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
     once for every midpoint.  Returns (fidelity, stderr).
     """
     _require_tilt_schedule(schedule)
-    if trajectories < 100:
-        raise DomainError("need at least 100 trajectories")
+    if trajectories < MIN_TRAJECTORIES:
+        raise DomainError(f"need at least {MIN_TRAJECTORIES} trajectories")
     nsteps, h, _ = half_step_nodes(spec.t_f, dt)
     mids = (np.arange(nsteps) + 0.5) * h
     z_m, od_m = schedule.reduced_terms(mids)

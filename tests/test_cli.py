@@ -169,6 +169,8 @@ class TestCommands:
         (["simulate", "--engine", "twolevel"], "transfer.t_f = -1"),
         (["simulate", "--engine", "grid"], "grid.points = 1000"),
         (["design"], "design.sample_count = 8"),
+        (["simulate", "--engine", "grid"], "grid.dt = inf"),
+        (["simulate", "--engine", "twolevel"], "grid.dt = inf"),
     ])
     def test_config_domain_error_exits_config(self, tmp_path, capsys, command, setting):
         cfg = tmp_path / "bad.cfg"
@@ -192,6 +194,17 @@ class TestCommands:
         for suffix in ("_noninteracting", "_interacting"):
             name = f"scan_{kind}{suffix}.csv"
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("trajectories", [50, -1])
+    def test_too_few_trajectories_rejected_before_scan(self, tmp_path, capsys, trajectories):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("transfer.scheme = so_direction\ntransfer.t_f = 4\n"
+                       f"noise.lambda_prime = 0, 0.5\nnoise.trajectories = {trajectories}\n")
+        out = tmp_path / "out"
+        code = main(["scan", "--config", str(cfg), "--kind", "noise", "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert "noise.trajectories" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_seed_override_in_manifest(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
@@ -358,6 +371,14 @@ class TestReproduce:
         assert rows.shape == (21, 3)
         for col in (1, 2):
             assert rows[np.argmax(rows[:, col]), 0] == 0.0
+
+    @pytest.mark.parametrize("figure", ["fig8", "fig9"])
+    def test_scan_figure_deterministic(self, tmp_path, figure):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["reproduce", "--figure", figure, "--out-dir", str(out)]) == EXIT_OK
+        first, second = ((out / f"{figure}.csv").read_bytes() for out in outs)
+        assert first == second
 
     def test_fig9_fidelity_falls_with_noise(self, tmp_path):
         out = tmp_path / "out"

@@ -153,7 +153,10 @@ class TestEvolution:
         {"dt": 0.0},
         {"t_f": -1.0},
         {"record_stride": 0},
-    ], ids=["negative_dt", "zero_dt", "negative_t_f", "zero_record_stride"])
+        {"dt": float("inf")},
+        {"dt": float("nan")},
+    ], ids=["negative_dt", "zero_dt", "negative_t_f", "zero_record_stride",
+            "infinite_dt", "nan_dt"])
     def test_bad_stepping_arguments_rejected(self, ctx, kwargs):
         fld = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
         with pytest.raises(DomainError):

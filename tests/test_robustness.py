@@ -7,8 +7,10 @@ import reduced_reference as reference
 from helpers import constant_schedule
 from reduced_reference import BlochState, InteractionSplit, bloch_rhs
 from socmorse.dynamics_grid import SpatialGrid
-from socmorse.errors import DomainError, NumericalFailureError
+from socmorse.dynamics_two_level import propagate, propagate_nonlinear
+from socmorse.errors import ConfigError, DomainError, NumericalFailureError
 from socmorse.numerics import OdeSettings
+from socmorse.pulse_design import PulseSchedule
 from socmorse.robustness import (
     bloch_propagate,
     scan_noise,
@@ -129,6 +131,32 @@ class TestSystematicScan:
                                    grid=SpatialGrid(points=1024), dt=2e-3)
         assert res.fidelities[0] == pytest.approx(0.979, abs=0.005)
         assert res.fidelities[1] < res.fidelities[0]
+
+    def test_grid_engine_narrow_grid_raises(self, ctx):
+        with pytest.raises(ConfigError):
+            scan_systematic_grid(ctx.spec_tilt, ctx.sched_tilt, [0.0],
+                                 grid=SpatialGrid(-5.0, 3.0, 512))
+
+
+class TestZeemanTermHasOneHome:
+    """A change to the reduced Zeeman term in ``reduced_terms`` reaches the
+    systematic scan: its lambda = 0 point stays the plain propagation."""
+
+    @pytest.mark.parametrize("case", ["tilt", "mean_field"])
+    def test_shifted_zeeman_term_reaches_scan(self, ctx, monkeypatch, case):
+        spec, sched, prop = ((ctx.spec_tilt, ctx.sched_tilt, propagate) if case == "tilt"
+                             else (ctx.spec_interacting, ctx.sched_compensated,
+                                   propagate_nonlinear))
+        me = ctx.me
+        original = PulseSchedule.reduced_terms
+
+        def shifted(self, t):
+            z, od = original(self, t)
+            return z + 0.05, od
+
+        monkeypatch.setattr(PulseSchedule, "reduced_terms", shifted)
+        scanned = scan_systematic(spec, sched, [0.0]).fidelities[0]
+        assert abs(scanned - prop(spec, me, sched).final_fidelity) <= 1e-12
 
 
 SCANS = {
@@ -267,10 +295,9 @@ class TestNoiseScan:
 
     def test_csv_export(self, ctx, tmp_path):
         res = scan_noise(ctx.spec_tilt, ctx.sched_tilt, [0.0, 0.5])
-        res.stderr = np.array([0.0, 1e-3])
         path = res.to_csv(tmp_path / "scan.csv")
         lines = open(path).read().splitlines()
-        assert lines[0] == "lambda_prime,fidelity,stderr"
+        assert lines[0] == "lambda_prime,fidelity"
         assert len(lines) == 3
 
 
@@ -286,7 +313,8 @@ class TestStackedScans:
         times, states = bloch_propagate(spec, sched, strengths, dt=self.DT, record_stride=7)
         assert states.shape == (len(times), 3, len(strengths))
         for col, lam in enumerate(strengths):
-            want_t, want = bloch_propagate(spec, sched, lam, dt=self.DT, record_stride=7)
+            want_t, want = reference.bloch_propagate(spec, sched, lam, dt=self.DT,
+                                                     record_stride=7)
             assert np.array_equal(times, want_t)
             assert np.max(np.abs(states[:, :, col] - want)) <= 1e-12
 
