@@ -303,9 +303,9 @@ def criterion_7_grid_observables(ctx: AcceptanceContext) -> CriterionResult:
     x00 = position_moment(0, ctx.morse)
     x11 = position_moment(1, ctx.morse)
     chk.expect(abs(rep.x_expect[0] - x00) <= 0.02,
-               f"initial <x> {rep.x_expect[0]:.5f} matches quadrature {x00:.5f}")
+               f"initial <x> {rep.x_expect[0]:.5f} matches closed-form <0|x|0> {x00:.5f}")
     chk.expect(abs(rep.x_expect[-1] - x11) <= 0.02,
-               f"final <x> {rep.x_expect[-1]:.5f} matches quadrature {x11:.5f}")
+               f"final <x> {rep.x_expect[-1]:.5f} matches closed-form <1|x|1> {x11:.5f}")
     chk.expect(rep.x_expect[-1] - rep.x_expect[0] > 0,
                f"net displacement {rep.x_expect[-1] - rep.x_expect[0]:.4f} positive")
     return chk.result("7. grid observables")

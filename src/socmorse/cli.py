@@ -339,7 +339,10 @@ def _scan(kind, engine, config: RunConfig, spec, schedule):
 def cmd_inspect(config: RunConfig, out_dir=None):
     spec = build_transfer_spec(config)
     morse = spec.morse
-    me = matrix_elements(spec.n, spec.l, spec.alpha, morse)
+    try:
+        me = matrix_elements(spec.n, spec.l, spec.alpha, morse)
+    except DomainError as exc:
+        raise ConfigError(f"bad transfer settings: {exc}") from exc
     info = {
         "depth_A": morse.depth_A,
         "eta": morse.eta,

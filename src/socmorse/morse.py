@@ -7,15 +7,17 @@ length unit and the trap mass sets hbar = M = 1, so the potential is
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.special import digamma, gammaln, loggamma, roots_genlaguerre
 
 from .errors import DomainError
-from .numerics import QuadratureSpec, integrate, laguerre, log_gamma
+from .numerics import laguerre, log_gamma
 
 __all__ = [
     "MorseSpec",
@@ -23,12 +25,10 @@ __all__ = [
     "MatrixElements",
     "potential",
     "eigenfunction",
-    "eigenfunction_derivative",
     "matrix_elements",
     "overlap_Q",
     "position_moment",
     "characteristic_length",
-    "quadrature_window",
     "finite_difference_levels",
 ]
 
@@ -40,8 +40,8 @@ class MorseSpec:
     depth_A: float
 
     def __post_init__(self):
-        if not self.depth_A > 0:
-            raise DomainError("trap depth must be positive")
+        if not (self.depth_A > 0 and math.isfinite(self.eta)):
+            raise DomainError(f"trap depth must be positive and finite, got {self.depth_A}")
 
     @property
     def eta(self) -> float:
@@ -79,7 +79,8 @@ class MatrixElements:
     """All reduced-basis matrix elements one transfer problem needs.
 
     ``G``  is the spin-flip overlap with the doubled momentum boost,
-    ``K``  the same overlap with one momentum operator inserted,
+    ``K``  the same overlap with one momentum operator inserted, which
+    follows from G (see :func:`matrix_elements`),
     ``M_coupling = alpha^2 G + alpha K`` the net coupling when the
     spin-orbit field is tilted, and ``S = conj(G)`` the overlap entering
     the transverse polarization components.  ``phi_G``/``phi_M`` are the
@@ -122,7 +123,7 @@ def eigenfunction(state: BoundState, spec: MorseSpec):
     eta = spec.eta
     xi = state.xi
     n = state.n
-    log_pref = 0.5 * (log_gamma(n + 1.0) + math.log(2.0 * xi) - log_gamma(2.0 * eta - n))
+    log_pref = _log_norm(state, spec)
 
     def psi(x):
         x = np.asarray(x, dtype=float)
@@ -135,82 +136,96 @@ def eigenfunction(state: BoundState, spec: MorseSpec):
     return psi
 
 
-def eigenfunction_derivative(state: BoundState, spec: MorseSpec):
-    """d/dx of :func:`eigenfunction`, via the chain rule through z.
+def _log_norm(state: BoundState, spec: MorseSpec) -> float:
+    """ln N_n of psi_n = N_n z^xi e^{-z/2} L_n^{2 xi}(z), z = 2 eta e^{-x}.
 
-    d/dx = -z d/dz, and (L_n^a)'(z) = -L_{n-1}^{a+1}(z), so the derivative
-    shares the eigenfunction's stable log-space envelope.
+    N_n^2 = n! 2 xi_n / Gamma(2 eta - n), kept in log space because the
+    Gamma function overflows quickly with depth.
     """
-    eta = spec.eta
-    xi = state.xi
     n = state.n
-    log_pref = 0.5 * (log_gamma(n + 1.0) + math.log(2.0 * xi) - log_gamma(2.0 * eta - n))
-
-    def dpsi(x):
-        x = np.asarray(x, dtype=float)
-        z = 2.0 * eta * np.exp(-x)
-        with np.errstate(divide="ignore"):
-            envelope = np.exp(log_pref + xi * np.log(z) - 0.5 * z)
-        ln = laguerre(n, 2.0 * xi, z)
-        lprime = -laguerre(n - 1, 2.0 * xi + 1.0, z) if n >= 1 else np.zeros_like(z)
-        val = envelope * ((0.5 * z - xi) * ln - z * lprime)
-        return val if val.ndim else float(val)
-
-    return dpsi
+    return 0.5 * (log_gamma(n + 1.0) + math.log(2.0 * state.xi) - log_gamma(2.0 * spec.eta - n))
 
 
-def quadrature_window(spec: MorseSpec, *states: BoundState):
-    """Integration window wide enough for products of the given states.
+def _boost_moments(n: int, l: int, alpha: float, spec: MorseSpec):
+    """<n|e^{2i alpha x}|l> and <n|x e^{2i alpha x}|l> in closed form.
 
-    The left wall kills the integrand super-exponentially; on the right a
-    product of states decays like exp(-(sum of xi) x), so the upper edge
-    scales with the slowest pair.  Breakpoints near the trap bottom keep
-    the adaptive rule from overlooking narrow ground states in deep traps.
+    With z = 2 eta e^{-x}, e^{2i alpha x} = (2 eta)^{2i alpha} z^{-2i alpha}.
+    Expanding L_n^{2 xi_n} in monomials c_j z^j, each monomial integrates
+    against z^{s-1} e^{-z} L_l^b to Gamma(mu) P(mu) / l!, with mu = s + j,
+    s = xi_n + xi_l - 2i alpha, b = 2 xi_l and the Pochhammer symbol
+    P(mu) = (b + 1 - mu)_l, whose factors are n - l + 1 - j + k + 2i alpha.
+    Since x = ln(2 eta) - ln z, the x moment takes the mu-derivative,
+    Gamma(mu) [psi(mu) P(mu) + P'(mu)].  The lower level is the one
+    expanded (conjugation swaps the pair): then for n < l every P carries
+    the factor 2i alpha exactly, so G keeps its relative accuracy as
+    alpha -> 0.
     """
-    rate = sum(s.xi for s in states) if states else 2.0 * spec.bound_state(0).xi
-    upper = max(30.0, 35.0 / rate)
-    lc = characteristic_length(spec)
-    points = (-lc, 0.0, lc, 3.0 * lc)
-    return -5.0, upper, points
+    if n > l:
+        g, x = _boost_moments(l, n, -alpha, spec)
+        return g.conjugate(), x.conjugate()
+    sn, sl = spec.bound_state(n), spec.bound_state(l)
+    a = 2.0 * sn.xi
+    ln_2eta = math.log(2.0 * spec.eta)
+    j = np.arange(n + 1)
+    log_c = (math.lgamma(n + a + 1.0) - gammaln(n - j + 1.0) - gammaln(a + j + 1.0)
+             - gammaln(j + 1.0))
+    mu = sn.xi + sl.xi - 2j * alpha + j
+    log_pref = (_log_norm(sn, spec) + _log_norm(sl, spec) - math.lgamma(l + 1.0)
+                + 2j * alpha * ln_2eta)
+    terms = np.where(j % 2, -1.0, 1.0) * np.exp(log_pref + log_c + loggamma(mu))
+    factors = (n - l + 1 + 2j * alpha) - j[:, None] + np.arange(l)
+    poly = np.prod(factors, axis=1)
+    dpoly = -sum(np.prod(np.delete(factors, k, axis=1), axis=1) for k in range(l))
+    g = complex(np.sum(terms * poly))
+    ln_z = complex(np.sum(terms * (digamma(mu) * poly + dpoly)))
+    return g, ln_2eta * g - ln_z
 
 
 @lru_cache(maxsize=256)
 def overlap_Q(n: int, l: int, spec: MorseSpec) -> float:
-    """Density-density overlap of two bound states (symmetric in n, l)."""
+    """Density-density overlap of two bound states (symmetric in n, l).
+
+    In t = 2z the integrand is t^a e^{-t} times the polynomial
+    (L_n L_l)^2 (t/2), a = 2 xi_n + 2 xi_l - 1, so generalized
+    Gauss-Laguerre with n + l + 1 nodes is exact.  The weights are taken
+    in log space: the ones scipy returns overflow once a > 170.
+    """
     sn, sl = spec.bound_state(n), spec.bound_state(l)
-    un, ul = eigenfunction(sn, spec), eigenfunction(sl, spec)
-    lo, hi, pts = quadrature_window(spec, sn, sn, sl, sl)
-    q = QuadratureSpec(lo, hi, tolerance=1e-10, max_subdivisions=400, breakpoints=pts)
-    return integrate(lambda x: un(x) ** 2 * ul(x) ** 2, q).real
+    a = 2.0 * (sn.xi + sl.xi) - 1.0
+    m = n + l + 1
+    t, _ = roots_genlaguerre(m, a)
+    log_w = (math.lgamma(m + a + 1.0) - math.lgamma(m + 1.0) - 2.0 * math.log(m + 1.0)
+             + np.log(t) - 2.0 * np.log(np.abs(laguerre(m + 1, a, t))))
+    log_pref = 2.0 * (_log_norm(sn, spec) + _log_norm(sl, spec)) - (a + 1.0) * math.log(2.0)
+    poly = laguerre(n, 2.0 * sn.xi, 0.5 * t) * laguerre(l, 2.0 * sl.xi, 0.5 * t)
+    return float(np.sum(np.exp(log_pref + log_w) * poly**2))
 
 
 def position_moment(n: int, spec: MorseSpec) -> float:
     """Diagonal coordinate expectation value of one bound state."""
-    sn = spec.bound_state(n)
-    un = eigenfunction(sn, spec)
-    lo, hi, pts = quadrature_window(spec, sn, sn)
-    q = QuadratureSpec(lo, hi, tolerance=1e-9, max_subdivisions=400, breakpoints=pts)
-    return integrate(lambda x: x * un(x) ** 2, q).real
+    return _boost_moments(n, n, 0.0, spec)[1].real
 
 
 @lru_cache(maxsize=64)
 def matrix_elements(n: int, l: int, alpha: float, spec: MorseSpec) -> MatrixElements:
     """Reduced-basis matrix elements for the (n, l) transfer at strength alpha.
 
-    The real eigenfunctions make S (the reversed-boost overlap) the complex
-    conjugate of G, so it is not integrated separately.
+    G is a closed-form Gamma-function sum, and K follows from it:
+    [H0, e^{2i alpha x}] = e^{2i alpha x} (2 alpha k + 2 alpha^2) gives
+    K = G (E_n - E_l - 2 alpha^2) / (2 alpha), and at alpha = 0,
+    [H0, x] = -ik gives K = i (E_n - E_l) <n|x|l>.  The real
+    eigenfunctions make S (the reversed-boost overlap) the complex
+    conjugate of G.
     """
-    sn, sl = spec.bound_state(n), spec.bound_state(l)
-    un = eigenfunction(sn, spec)
-    ul = eigenfunction(sl, spec)
-    dul = eigenfunction_derivative(sl, spec)
-    lo, hi, pts = quadrature_window(spec, sn, sl)
-    q = QuadratureSpec(lo, hi, tolerance=1e-10, max_subdivisions=400, breakpoints=pts)
-
-    g = integrate(lambda x: un(x) * np.exp(2j * alpha * x) * ul(x), q)
-    # momentum operator is -i d/dx, applied to the right-hand state
-    k = -1j * integrate(lambda x: un(x) * np.exp(2j * alpha * x) * dul(x), q)
+    if not math.isfinite(alpha):
+        raise DomainError(f"spin-orbit strength alpha must be finite, got {alpha}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, x_nl = _boost_moments(n, l, alpha, spec)
+    gap = spec.bound_state(n).energy - spec.bound_state(l).energy
+    k = g * (gap - 2.0 * alpha * alpha) / (2.0 * alpha) if alpha else 1j * gap * x_nl
     m = alpha * alpha * g + alpha * k
+    if not all(map(cmath.isfinite, (g, k, m))):
+        raise DomainError(f"matrix elements are not finite at alpha={alpha}")
     return MatrixElements(
         n=n,
         l=l,

@@ -71,6 +71,8 @@ class TransferSpec:
             raise DomainError(f"target must be l = n+1, got n={self.n}, l={self.l}")
         if not self.t_f > 0:
             raise DomainError("operation time must be positive")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"spin-orbit strength alpha must be finite, got {self.alpha}")
         if self.c == 0:
             raise DomainError("gap parameter c must be nonzero")
         if self.scheme not in SCHEMES:

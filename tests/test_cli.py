@@ -179,6 +179,25 @@ class TestCommands:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["design", "inspect"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_alpha_exits_config(self, tmp_path, capsys, command, alpha):
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text(f"transfer.alpha = {alpha}\n")
+        code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha" in err
+
+    @pytest.mark.parametrize("depth", ["inf", "1e308"])
+    def test_infinite_depth_exits_config(self, tmp_path, capsys, depth):
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text(f"transfer.depth_A = {depth}\n")
+        code = main(["design", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "depth" in err
+
     @pytest.mark.parametrize("kind, settings", [
         ("systematic", "noise.lambda = -0.2:0.2:0.1\n"),
         ("noise", "noise.lambda_prime = 0, 0.5\nnoise.trajectories = 100\n"),

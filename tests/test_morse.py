@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from morse_reference import eigenfunction_derivative, quadrature_elements, quadrature_window
 from socmorse.errors import DomainError
 from socmorse.morse import (
     MorseSpec,
     characteristic_length,
     eigenfunction,
-    eigenfunction_derivative,
     finite_difference_levels,
     matrix_elements,
     overlap_Q,
     position_moment,
     potential,
-    quadrature_window,
 )
 from socmorse.numerics import QuadratureSpec, integrate
 
@@ -54,6 +53,12 @@ class TestSpec:
             MorseSpec(-1.0)
         with pytest.raises(DomainError):
             A8.bound_state(4)
+
+    @pytest.mark.parametrize("depth", [math.inf, 1e308, math.nan])
+    def test_non_finite_depth_rejected(self, depth):
+        # 1e308 is finite, but 2 A overflows, so eta = sqrt(2 A) is not
+        with pytest.raises(DomainError, match="depth"):
+            MorseSpec(depth)
 
     def test_characteristic_length(self):
         assert characteristic_length(A8) == pytest.approx(0.5)
@@ -174,6 +179,12 @@ class TestMatrixElements:
         with pytest.raises(DomainError):
             matrix_elements(0, 4, 1.6, A8)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # 1e308 is finite, but the elements it gives are not
+        with pytest.raises(DomainError, match="alpha"):
+            matrix_elements(0, 1, alpha, A8)
+
 
 class TestOverlapConstants:
     def test_symmetry(self):
@@ -203,3 +214,64 @@ class TestPositionMoments:
         moments = [position_moment(0, MorseSpec(a)) for a in (50.0, 500.0, 5000.0)]
         assert all(m > 0 for m in moments)
         assert moments[0] > moments[1] > moments[2]
+
+
+def _design_sweep_points(seed, count):
+    """(depth, alpha) drawn from the design-sweep domain."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(6.0, 12.0)), float(rng.uniform(0.8, 2.25))) for _ in range(count)]
+
+
+def _closed_form(n, l, alpha, spec):
+    me = matrix_elements(n, l, alpha, spec)
+    return {"G": me.G, "K": me.K, "M_coupling": me.M_coupling,
+            "Q": overlap_Q(n, l, spec), "x_n": me.x_diag_n}
+
+
+class TestClosedFormAgainstQuadrature:
+    """G, K, M_coupling, Q and <x> against the adaptive-quadrature oracle.
+
+    Relative tolerances, with a 1e-14 absolute floor for the elements that
+    vanish exactly (G and M_coupling at alpha = 0, K at n = l and alpha = 0).
+    """
+
+    def _check(self, depth, n, l, alpha, rtol):
+        spec = MorseSpec(depth)
+        got = _closed_form(n, l, alpha, spec)
+        want = quadrature_elements(n, l, alpha, spec)
+        for name, value in want.items():
+            err = abs(got[name] - value)
+            assert err <= rtol * abs(value) + 1e-14, (name, got[name], value)
+
+    @pytest.mark.parametrize("depth, alpha", _design_sweep_points(12, 6))
+    def test_design_sweep_domain(self, depth, alpha):
+        self._check(depth, 0, 1, alpha, 1e-12)
+
+    @pytest.mark.parametrize("depth, n, l, alpha", [
+        (8.0, 1, 1, 1.6),
+        (8.0, 0, 1, 0.0),
+        (8.0, 1, 1, 0.0),
+        (9.3, 1, 0, 2.1),
+        (11.7, 1, 0, 0.0),
+        (30.0, 3, 2, 1.2),
+    ])
+    def test_equal_levels_reversed_pairs_and_zero_strength(self, depth, n, l, alpha):
+        self._check(depth, n, l, alpha, 1e-12)
+
+    @pytest.mark.parametrize("depth, n, l, alpha", [
+        (200.0, 15, 16, 1.6),
+        (900.0, 20, 21, 1.2),
+        (5000.0, 3, 4, 1.6),
+        (5000.0, 0, 1, 0.8),
+    ])
+    def test_deep_traps(self, depth, n, l, alpha):
+        # a = 2 xi_n + 2 xi_l - 1 is about 380 at depth 5000, where the
+        # Gauss-Laguerre weights scipy returns have overflowed to inf
+        self._check(depth, n, l, alpha, 1e-10)
+
+    @pytest.mark.parametrize("n, l", [(0, 1), (1, 0)])
+    def test_k_continuous_at_zero_strength(self, n, l):
+        # the alpha = 0 branch and the 1/alpha commutator formula agree
+        k0 = matrix_elements(n, l, 0.0, A8).K
+        k_small = matrix_elements(n, l, 1e-10, A8).K
+        assert abs(k_small - k0) <= 1e-8 * abs(k0)
