@@ -71,6 +71,9 @@ class TransferSpec:
             raise DomainError(f"target must be l = n+1, got n={self.n}, l={self.l}")
         if not self.t_f > 0:
             raise DomainError("operation time must be positive")
+        if not math.isfinite(self.t_f * self.t_f):  # the designs use t_f**2
+            raise DomainError(f"operation time t_f must be finite with a finite square, "
+                              f"got {self.t_f}")
         if not math.isfinite(self.alpha):
             raise DomainError(f"spin-orbit strength alpha must be finite, got {self.alpha}")
         if self.c == 0:

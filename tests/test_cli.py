@@ -198,6 +198,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "depth" in err
 
+    @pytest.mark.parametrize("setting", ["grid.x_min = -inf", "grid.x_max = inf",
+                                         "grid.x_max = 1e308"])
+    def test_non_finite_grid_bounds_exit_config(self, tmp_path, capsys, setting):
+        # 1e308 passes the grid's own checks; the state it gives is not finite
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(setting + "\n")
+        code = main(["simulate", "--engine", "grid", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("t_f", ["inf", "1e200", "1e308"])
+    def test_huge_t_f_exits_config(self, tmp_path, capsys, t_f):
+        cfg = tmp_path / "t_f.cfg"
+        cfg.write_text(f"transfer.t_f = {t_f}\n")
+        code = main(["design", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t_f" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("kind, settings", [
         ("systematic", "noise.lambda = -0.2:0.2:0.1\n"),
         ("noise", "noise.lambda_prime = 0, 0.5\nnoise.trajectories = 100\n"),

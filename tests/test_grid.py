@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from socmorse.dynamics_grid import (
     SpatialGrid,
+    _cis,
     SpinorField,
     density_profile,
     evolve,
@@ -15,6 +17,7 @@ from socmorse.dynamics_grid import (
 from socmorse.dynamics_two_level import expectation_x, spin_polarization
 from socmorse.errors import ConfigError, DomainError
 from socmorse.morse import position_moment
+from socmorse.pulse_design import design_scheme2
 from socmorse.acceptance import G_EFFECTIVE
 from grid_reference import SERIES, reference_evolve
 from helpers import constant_schedule
@@ -28,6 +31,12 @@ class TestGridGeometry:
     def test_minimum_points(self):
         with pytest.raises(DomainError):
             SpatialGrid(points=256)
+
+    @pytest.mark.parametrize("bounds", [(-np.inf, 25.0), (-5.0, np.inf),
+                                        (-1e308, 1e308)])
+    def test_non_finite_bounds_or_spacing_rejected(self, bounds):
+        with pytest.raises(DomainError):
+            SpatialGrid(*bounds)
 
     def test_spacing(self):
         g = SpatialGrid(-5.0, 25.0, 2048)
@@ -61,6 +70,11 @@ class TestInitialStates:
         narrow = SpatialGrid(-5.0, 3.0, 512)
         with pytest.raises(ConfigError):
             init_basis_state(narrow, ctx.morse, 1, "down", 1.6)
+
+    def test_non_finite_state_rejected(self, ctx):
+        # finite bounds and spacing, but the profile overflows to nan
+        with pytest.raises(ConfigError):
+            init_basis_state(SpatialGrid(-5.0, 1e308), ctx.morse, 0, "up", 1.6)
 
     def test_bad_spin_label(self, ctx):
         with pytest.raises(DomainError):
@@ -99,6 +113,18 @@ class TestObservableFormulas:
         c1, c2, fld = superposition
         obs = observables(fld, ctx.grid, ctx.morse, ctx.spec_raman)
         assert obs.fidelity == pytest.approx(abs(c2) ** 2, abs=1e-12)
+
+
+class TestHalfAnglePhase:
+    """``_cis`` forms exp(i theta) from tan(theta/2); it must stay as close
+    to cos + i sin as they are to each other, at tiny, large and +-pi angles."""
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-3, 1.0, 100.0, 1e6, np.pi, 3 * np.pi])
+    def test_matches_cos_and_sin(self, angle):
+        theta = np.array([angle, -angle])
+        got = _cis(theta)
+        assert np.max(np.abs(got - (np.cos(theta) + 1j * np.sin(theta)))) <= 5e-16
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 5e-16
 
 
 class TestEvolution:
@@ -247,14 +273,28 @@ class TestCrossModelConsistency:
         assert rep.Pz[-1] == pytest.approx(pz[-1], abs=0.01)
 
 
+PARITY_T_F = 1.0
+
+
+def _wide_tilt(ctx, spec):
+    """``spec`` over the tilted design whose whole run fits the parity window:
+    at t_f = PARITY_T_F it sweeps theta1 up to about 3.2 rad, where the
+    canonical design reaches only 0.115 rad in that window."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sched = design_scheme2(replace(ctx.spec_tilt, t_f=PARITY_T_F), ctx.me)
+        return replace(spec, t_f=PARITY_T_F), sched
+
+
 PARITY_CASES = {
     "raman": lambda ctx: (ctx.spec_raman, ctx.sched_raman),
     "so_direction": lambda ctx: (ctx.spec_tilt, ctx.sched_tilt),
     "so_direction_interacting": lambda ctx: (ctx.spec_interacting, ctx.sched_compensated),
     "raman_interacting": lambda ctx: (replace(ctx.spec_raman, **G_EFFECTIVE),
                                       ctx.sched_raman),
+    "so_direction_wide_tilt": lambda ctx: _wide_tilt(ctx, ctx.spec_tilt),
+    "so_direction_interacting_wide_tilt": lambda ctx: _wide_tilt(ctx, ctx.spec_interacting),
 }
-PARITY_T_F = 1.0
 
 
 @pytest.fixture(scope="module")

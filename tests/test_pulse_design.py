@@ -80,6 +80,11 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             quiet_spec(n=3, l=4)
 
+    @pytest.mark.parametrize("t_f", [np.inf, 1e200, 1e308])
+    def test_t_f_with_infinite_square_rejected(self, t_f):
+        with pytest.raises(DomainError, match="t_f"):
+            quiet_spec(t_f=t_f)
+
     def test_short_operation_warns(self):
         with pytest.warns(AdiabaticityWarning):
             TransferSpec(morse=A8, t_f=10.0, c=0.1)
