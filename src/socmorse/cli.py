@@ -20,13 +20,7 @@ import numpy as np
 from . import __version__
 from .dynamics_grid import SpatialGrid, density_profile, evolve, init_basis_state, target_state
 from .dynamics_two_level import propagate, propagate_nonlinear
-from .errors import (
-    ConfigError,
-    DesignInfeasibleError,
-    DomainError,
-    NumericalFailureError,
-    SocmorseError,
-)
+from .errors import AccuracyError, ConfigError, NumericalFailureError, SocmorseError
 from .morse import MorseSpec, characteristic_length, matrix_elements, overlap_Q
 from .numerics import OdeSettings, write_csv, write_json
 from .pulse_design import (
@@ -82,6 +76,8 @@ class RunConfig:
         if self.trajectories != 0 and self.trajectories < MIN_TRAJECTORIES:
             raise ConfigError(f"noise.trajectories must be 0 (no oracle) or at least "
                               f"{MIN_TRAJECTORIES}, got {self.trajectories}")
+        if self.seed < 0:
+            raise ConfigError(f"noise.seed must be non-negative, got {self.seed}")
 
 
 _KEYS = {
@@ -181,23 +177,7 @@ def config_to_text(config: RunConfig) -> str:
 def build_transfer_spec(config: RunConfig) -> TransferSpec:
     """Transfer spec with effective interaction constants derived from the
     raw per-spin couplings; an all-zero interacting config defaults to the
-    raw value that makes the leading effective constant 0.3.  A value the
-    spec rejects is a configuration problem: :class:`ConfigError`."""
-    try:
-        return _transfer_spec(config)
-    except DomainError as exc:
-        raise ConfigError(f"bad transfer settings: {exc}") from exc
-
-
-def _build_grid(config: RunConfig) -> SpatialGrid:
-    """Spatial grid of the config; a rejected value is a :class:`ConfigError`."""
-    try:
-        return SpatialGrid(config.x_min, config.x_max, config.points)
-    except DomainError as exc:
-        raise ConfigError(f"bad grid settings: {exc}") from exc
-
-
-def _transfer_spec(config: RunConfig) -> TransferSpec:
+    raw value that makes the leading effective constant 0.3."""
     morse = MorseSpec(config.depth_A)
     raw = (config.g_uu, config.g_dd, config.g_ud, config.g_du)
     if config.scheme == "so_direction_interacting" and not any(raw):
@@ -276,13 +256,9 @@ def _ensure_out_dir(path):
 
 
 def _design(config: RunConfig):
-    """Spec, matrix elements and designed schedule of a config; a value the
-    design rejects is a configuration problem: :class:`ConfigError`."""
+    """Spec, matrix elements and designed schedule of a config."""
     spec = build_transfer_spec(config)
-    try:
-        return (spec, *design_for_spec(spec, config.sample_count))
-    except DomainError as exc:
-        raise ConfigError(f"bad design settings: {exc}") from exc
+    return (spec, *design_for_spec(spec, config.sample_count))
 
 
 def _twolevel_run(config: RunConfig, spec, me, schedule):
@@ -297,7 +273,7 @@ _DENSITY_HEADER = "x,dens_up,dens_down,dens_target"
 def _grid_run(config: RunConfig, spec, schedule):
     """Grid-engine run from the initial basis state: the report and the
     final density columns under ``_DENSITY_HEADER``."""
-    grid = _build_grid(config)
+    grid = SpatialGrid(config.x_min, config.x_max, config.points)
     fld = init_basis_state(grid, spec.morse, spec.n, "up", spec.alpha)
     final, rep = evolve(fld, spec, schedule, dt=config.dt)
     dens_up, dens_dn = density_profile(final)
@@ -327,8 +303,8 @@ def _scan(kind, engine, config: RunConfig, spec, schedule):
     if kind == "noise":
         return scan_noise(spec, schedule, values, dt=config.dt)
     if engine == "grid":
-        return scan_systematic_grid(spec, schedule, values,
-                                    grid=_build_grid(config), dt=config.dt)
+        grid = SpatialGrid(config.x_min, config.x_max, config.points)
+        return scan_systematic_grid(spec, schedule, values, grid=grid, dt=config.dt)
     return scan_systematic(spec, schedule, values, OdeSettings(step=config.dt))
 
 
@@ -339,10 +315,7 @@ def _scan(kind, engine, config: RunConfig, spec, schedule):
 def cmd_inspect(config: RunConfig, out_dir=None):
     spec = build_transfer_spec(config)
     morse = spec.morse
-    try:
-        me = matrix_elements(spec.n, spec.l, spec.alpha, morse)
-    except DomainError as exc:
-        raise ConfigError(f"bad transfer settings: {exc}") from exc
+    me = matrix_elements(spec.n, spec.l, spec.alpha, morse)
     info = {
         "depth_A": morse.depth_A,
         "eta": morse.eta,
@@ -445,8 +418,6 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
 
 
 def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"):
-    _ensure_out_dir(out_dir)
-    manifest = _Manifest(f"scan:{kind}", out_dir)
     if seed is not None:
         config = replace(config, seed=seed)
     if config.scheme == "raman":
@@ -459,6 +430,8 @@ def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"
     values = getattr(config, _SCAN_GRIDS[kind])
     if len(values) == 0:
         raise ConfigError("empty scan grid")
+    _ensure_out_dir(out_dir)
+    manifest = _Manifest(f"scan:{kind}", out_dir)
 
     total = 0
     failed = 0
@@ -674,15 +647,12 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(json_path=args.json, fast=args.fast)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DesignInfeasibleError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericalFailureError,) as exc:
+    except (NumericalFailureError, AccuracyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SocmorseError as exc:
+    except (SocmorseError, FileNotFoundError) as exc:  # a value the program rejects
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .dynamics_two_level import half_step_nodes
-from .errors import ConfigError, DomainError, NumericalFailureError
+from .errors import DomainError, NumericalFailureError
 from .morse import MorseSpec, eigenfunction, potential
 from .numerics import su2_exp, write_csv
 from .pulse_design import PulseSchedule, TransferSpec, raw_from_effective
@@ -166,7 +166,7 @@ def init_basis_state(grid: SpatialGrid, morse: MorseSpec, n: int, spin: str,
                      alpha: float) -> SpinorField:
     """Boosted bound state in one spin component, normalized on the grid.
 
-    Raises :class:`ConfigError` when the grid cannot hold the state: its
+    Raises :class:`DomainError` when the grid cannot hold the state: its
     mass on the grid is zero or not finite, or more than 1e-10 of it lies in
     the outer 5% of the domain.
     """
@@ -175,14 +175,14 @@ def init_basis_state(grid: SpatialGrid, morse: MorseSpec, n: int, spin: str,
     comp = _basis_profile(grid, morse, n, spin, alpha)
     mass = float(np.sum(np.abs(comp) ** 2) * grid.dx)
     if not 0.0 < mass < np.inf:
-        raise ConfigError(f"grid [{grid.x_min}, {grid.x_max}] cannot hold state n={n}: "
+        raise DomainError(f"grid [{grid.x_min}, {grid.x_max}] cannot hold state n={n}: "
                           f"its mass on the grid is {mass:.3g}")
     comp = comp / np.sqrt(mass)
     edge = max(1, grid.points // 20)
     density = np.abs(comp) ** 2 * grid.dx
     outer = float(np.sum(density[:edge]) + np.sum(density[-edge:]))
     if not outer <= 1e-10:  # nan fails too
-        raise ConfigError(
+        raise DomainError(
             f"grid [{grid.x_min}, {grid.x_max}] cannot hold state n={n}: "
             f"outer-5% mass {outer:.3g} exceeds 1e-10"
         )

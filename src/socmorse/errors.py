@@ -35,4 +35,8 @@ class DesignInfeasibleError(SocmorseError):
 
 
 class ConfigError(SocmorseError, ValueError):
-    """A run configuration is malformed or inconsistent."""
+    """A run configuration is malformed or inconsistent.
+
+    Raised only by the command-line front end, for parsing and its own
+    checks; library objects reject a value with :class:`DomainError`.
+    """

@@ -32,6 +32,10 @@ __all__ = [
     "finite_difference_levels",
 ]
 
+# Largest eta = sqrt(2 A): up to it the gap E_l - E_n ~ eta keeps about 12
+# significant digits against the level energies ~ eta^2 / 2.
+MAX_ETA = 1e4
+
 
 @dataclass(frozen=True)
 class MorseSpec:
@@ -40,8 +44,9 @@ class MorseSpec:
     depth_A: float
 
     def __post_init__(self):
-        if not (self.depth_A > 0 and math.isfinite(self.eta)):
-            raise DomainError(f"trap depth must be positive and finite, got {self.depth_A}")
+        if not (self.depth_A > 0 and self.eta <= MAX_ETA):
+            raise DomainError(f"trap depth must be positive with eta = sqrt(2 A) at most "
+                              f"{MAX_ETA:g}, got {self.depth_A}")
 
     @property
     def eta(self) -> float:

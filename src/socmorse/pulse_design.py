@@ -80,6 +80,8 @@ class TransferSpec:
             raise DomainError("gap parameter c must be nonzero")
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}")
+        if not all(map(math.isfinite, self.g_effective)):
+            raise DomainError(f"interaction constants must be finite, got {self.g_effective}")
         self.morse.bound_state(self.l)  # both states must be bound
         if self.t_f * self.delta_e < 10.0:
             warnings.warn(

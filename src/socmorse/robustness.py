@@ -158,6 +158,8 @@ def _batched_scan(parameter, values, spec, run):
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise DomainError("empty scan grid")
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"scan values must be finite, got {values.tolist()}")
     fidelities = np.full(values.shape, np.nan)
     try:
         fid, problems = run(values)
@@ -186,8 +188,9 @@ def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
     whose final amplitudes are non-finite or whose norm drifted by more
     than 1e-6 is recorded as a failure.
     """
+    nsteps, h, nodes = half_step_nodes(spec.t_f, settings.step)  # raises here, not per point
+
     def run(lambdas):
-        nsteps, h, nodes = half_step_nodes(spec.t_f, settings.step)
         z, od = schedule.reduced_terms(nodes)
         b = np.asarray(schedule.b_at(nodes), dtype=float)
         z = z[:, None] + b[:, None] * lambdas
@@ -217,6 +220,7 @@ def scan_systematic_grid(spec: TransferSpec, schedule: PulseSchedule, lambdas,
     """
     from .dynamics_grid import SpatialGrid, evolve, init_basis_state
 
+    half_step_nodes(spec.t_f, dt)  # an invalid dt raises here, not per point
     start = init_basis_state(grid or SpatialGrid(), spec.morse, spec.n, "up", spec.alpha)
 
     def run(lambdas):

@@ -171,6 +171,10 @@ class TestCommands:
         (["design"], "design.sample_count = 8"),
         (["simulate", "--engine", "grid"], "grid.dt = inf"),
         (["simulate", "--engine", "twolevel"], "grid.dt = inf"),
+        (["simulate", "--engine", "twolevel"], "transfer.t_f = 1e150"),  # step count
+        (["simulate", "--engine", "twolevel"], "transfer.t_f = 1e7"),
+        (["inspect"], "transfer.depth_A = 1e300"),  # eta above MAX_ETA
+        (["design"], "transfer.depth_A = 1e300"),
     ])
     def test_config_domain_error_exits_config(self, tmp_path, capsys, command, setting):
         cfg = tmp_path / "bad.cfg"
@@ -244,6 +248,20 @@ class TestCommands:
         code = main(["scan", "--config", str(cfg), "--kind", "noise", "--out-dir", str(out)])
         assert code == EXIT_CONFIG
         assert "noise.trajectories" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_negative_seed_rejected_before_scan(self, tmp_path, capsys, via):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("transfer.scheme = so_direction\ntransfer.t_f = 4\n"
+                       "noise.lambda_prime = 0, 0.5\nnoise.trajectories = 100\n"
+                       + ("noise.seed = -1\n" if via == "config" else ""))
+        out = tmp_path / "out"
+        flag = ["--seed", "-1"] if via == "flag" else []
+        code = main(["scan", "--config", str(cfg), "--kind", "noise", *flag,
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert "noise.seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scan_seed_override_in_manifest(self, tmp_path):
@@ -344,6 +362,58 @@ class TestCommands:
         info = json.loads((tmp_path / "inspect.json").read_text())
         assert info["bound_count"] == 4
         assert info["levels"][0]["energy"] == -6.125
+
+
+_TWOLEVEL = ["simulate", "--engine", "twolevel"]
+_GRID = ["simulate", "--engine", "grid"]
+_SYSTEMATIC = ["scan", "--kind", "systematic"]
+_NOISE = ["scan", "--kind", "noise"]
+
+# Every numeric config key: the command that reads it, the settings it runs
+# with (the interaction keys under each of the three schemes) and its exit
+# code at 1e308.  At 1e308 the interaction constants, the step and the scan
+# values pass every check and the run then fails numerically (exit 2);
+# every other key rejects the value (exit 1).
+_NUMERIC_KEYS = [
+    ("transfer.depth_A", _TWOLEVEL, "", 1),
+    ("transfer.n", _TWOLEVEL, "", 1),
+    ("transfer.l", _TWOLEVEL, "", 1),
+    ("transfer.alpha", _TWOLEVEL, "", 1),
+    ("transfer.t_f", _TWOLEVEL, "", 1),
+    ("design.c", _TWOLEVEL, "", 1),
+    ("design.sample_count", _TWOLEVEL, "", 1),
+    ("interaction.g_uu", _TWOLEVEL, "transfer.scheme = so_direction", 2),
+    ("interaction.g_dd", _TWOLEVEL, "transfer.scheme = so_direction", 2),
+    ("interaction.g_ud", _TWOLEVEL, "transfer.scheme = so_direction_interacting", 2),
+    ("interaction.g_du", _TWOLEVEL, "transfer.scheme = raman", 2),
+    ("grid.x_min", _GRID, "grid.points = 512", 1),
+    ("grid.x_max", _GRID, "grid.points = 512", 1),
+    ("grid.points", _GRID, "", 1),
+    ("grid.dt", _TWOLEVEL, "", 2),
+    ("noise.lambda", _SYSTEMATIC, "transfer.scheme = so_direction", 2),
+    ("noise.lambda_prime", _NOISE, "transfer.scheme = so_direction", 2),
+    ("noise.trajectories", _NOISE, "transfer.scheme = so_direction", 1),
+    ("noise.seed", _NOISE, "transfer.scheme = so_direction", 1),
+]
+
+
+class TestNumericKeys:
+    """No numeric value escapes ``main`` as an exception: a non-finite one
+    is always rejected with exit 1."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize("key, command, settings, code_at_1e308", _NUMERIC_KEYS,
+                             ids=[row[0] for row in _NUMERIC_KEYS])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_value_through_main(self, tmp_path, capsys, key, command, settings,
+                                code_at_1e308, value):
+        short = "" if key == "transfer.t_f" else "transfer.t_f = 2\n"
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(f"{short}{settings}\n{key} = {value}\n")
+        code = main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == (code_at_1e308 if value == "1e308" else EXIT_CONFIG)
+        err = capsys.readouterr().err
+        assert err.startswith("error:" if code == EXIT_CONFIG else ("numerical", "scan failed"))
 
 
 class TestReproduce:

@@ -15,7 +15,7 @@ from socmorse.dynamics_grid import (
     target_state,
 )
 from socmorse.dynamics_two_level import expectation_x, spin_polarization
-from socmorse.errors import ConfigError, DomainError
+from socmorse.errors import DomainError
 from socmorse.morse import position_moment
 from socmorse.pulse_design import design_scheme2
 from socmorse.acceptance import G_EFFECTIVE
@@ -68,12 +68,12 @@ class TestInitialStates:
 
     def test_narrow_grid_rejected(self, ctx):
         narrow = SpatialGrid(-5.0, 3.0, 512)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             init_basis_state(narrow, ctx.morse, 1, "down", 1.6)
 
     def test_non_finite_state_rejected(self, ctx):
         # finite bounds and spacing, but the profile overflows to nan
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             init_basis_state(SpatialGrid(-5.0, 1e308), ctx.morse, 0, "up", 1.6)
 
     def test_bad_spin_label(self, ctx):

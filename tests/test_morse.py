@@ -54,9 +54,10 @@ class TestSpec:
         with pytest.raises(DomainError):
             A8.bound_state(4)
 
-    @pytest.mark.parametrize("depth", [math.inf, 1e308, math.nan])
+    @pytest.mark.parametrize("depth", [math.inf, 1e308, math.nan, 1e300])
     def test_non_finite_depth_rejected(self, depth):
-        # 1e308 is finite, but 2 A overflows, so eta = sqrt(2 A) is not
+        # 1e308 is finite, but 2 A overflows, so eta = sqrt(2 A) is not;
+        # 1e300 gives a finite eta far above MAX_ETA, where E_l - E_n rounds to 0
         with pytest.raises(DomainError, match="depth"):
             MorseSpec(depth)
 

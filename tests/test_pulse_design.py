@@ -85,6 +85,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="t_f"):
             quiet_spec(t_f=t_f)
 
+    @pytest.mark.parametrize("scheme", ["raman", "so_direction"])
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf])
+    def test_non_finite_interaction_rejected(self, scheme, g):
+        with pytest.raises(DomainError, match="interaction"):
+            quiet_spec(scheme=scheme, g21=g)
+
     def test_short_operation_warns(self):
         with pytest.warns(AdiabaticityWarning):
             TransferSpec(morse=A8, t_f=10.0, c=0.1)

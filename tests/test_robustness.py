@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from helpers import constant_schedule
 from reduced_reference import BlochState, InteractionSplit, bloch_rhs
 from socmorse.dynamics_grid import SpatialGrid
 from socmorse.dynamics_two_level import propagate, propagate_nonlinear
-from socmorse.errors import ConfigError, DomainError, NumericalFailureError
+from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.numerics import OdeSettings
 from socmorse.pulse_design import PulseSchedule
 from socmorse.robustness import (
@@ -122,6 +124,16 @@ class TestSystematicScan:
         with pytest.raises(DomainError):
             scan_systematic(ctx.spec_tilt, ctx.sched_tilt, [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scan", ["systematic", "noise", "systematic_grid"])
+    def test_non_finite_value_rejected(self, ctx, scan, bad):
+        # a finite overflow is a recorded failure; a non-finite value is no point
+        run = {"systematic": scan_systematic, "noise": scan_noise,
+               "systematic_grid": partial(scan_systematic_grid,
+                                          grid=SpatialGrid(points=512), dt=0.05)}[scan]
+        with pytest.raises(DomainError, match="finite"):
+            run(ctx.spec_tilt, ctx.sched_tilt, [0.0, bad])
+
     def test_grid_engine_spot_check(self, ctx):
         # the unperturbed point reproduces the full-grid fidelity of the
         # tilted-field design; offsets degrade it
@@ -133,7 +145,7 @@ class TestSystematicScan:
         assert res.fidelities[1] < res.fidelities[0]
 
     def test_grid_engine_narrow_grid_raises(self, ctx):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             scan_systematic_grid(ctx.spec_tilt, ctx.sched_tilt, [0.0],
                                  grid=SpatialGrid(-5.0, 3.0, 512))
 

@@ -47,6 +47,17 @@ class TestAssembleH:
             assemble_H(ctx.spec_raman, ctx.me, ctx.sched_raman, -1.0)
 
 
+class TestStepGrid:
+    def test_step_count_limit_raises_before_allocating(self):
+        # 1e10 steps would need hundreds of GiB of node table
+        with pytest.raises(DomainError, match="step"):
+            half_step_nodes(1e7, 1e-3)
+
+    def test_step_count_at_limit_accepted(self):
+        nsteps, h, nodes = half_step_nodes(1.0, 1e-6)
+        assert nsteps == 10**6 and len(nodes) == 2 * 10**6 + 1
+
+
 class TestPropagate:
     def test_designed_transfer(self, ctx):
         assert ctx.twolevel_raman.final_fidelity >= 1.0 - 1e-6
