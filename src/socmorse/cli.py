@@ -226,6 +226,12 @@ class _Manifest:
         self.out_dir = out_dir
         self._t0 = time.time()
 
+    def path(self, name):
+        """Where artifact ``name`` goes.  The output directory is made here,
+        at the first write, so a run rejected before it leaves none."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, name)
+
     def add_artifact(self, path):
         self.data["artifacts"].append(str(path))
 
@@ -234,7 +240,7 @@ class _Manifest:
 
     def write(self, config):
         """Write the snapshot and the manifest of the config the run used."""
-        snap = os.path.join(self.out_dir, "config_snapshot.txt")
+        snap = self.path("config_snapshot.txt")
         with open(snap, "w", newline="\n") as fh:
             fh.write(config_to_text(config))
         self.add_artifact(snap)
@@ -243,12 +249,7 @@ class _Manifest:
             for key, val in _config_items(config)
         }
         self.data["wall_time_s"] = round(time.time() - self._t0, 3)
-        return write_json(os.path.join(self.out_dir, "manifest.json"), self.data)
-
-
-def _ensure_out_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+        return write_json(self.path("manifest.json"), self.data)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +348,16 @@ def cmd_inspect(config: RunConfig, out_dir=None):
     print(f"|S| (transverse-polarization overlap) = {abs(me.S):.8g}")
     print(f"x moments: <n|x|n> = {me.x_diag_n:.8g}, <l|x|l> = {me.x_diag_l:.8g}")
     if out_dir:
-        _ensure_out_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         path = write_json(os.path.join(out_dir, "inspect.json"), info)
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_design(config: RunConfig, out_dir):
-    _ensure_out_dir(out_dir)
     manifest = _Manifest("design", out_dir)
     spec, _, schedule = _design(config)
-    csv_path, sidecar = schedule.to_csv(os.path.join(out_dir, "schedule.csv"))
+    csv_path, sidecar = schedule.to_csv(manifest.path("schedule.csv"))
     manifest.add_artifact(csv_path)
     manifest.add_artifact(sidecar)
     ends = schedule.endpoint_summary()
@@ -375,13 +375,12 @@ def cmd_design(config: RunConfig, out_dir):
 
 
 def cmd_simulate(config: RunConfig, engine: str, out_dir):
-    _ensure_out_dir(out_dir)
     manifest = _Manifest(f"simulate:{engine}", out_dir)
     spec, me, schedule = _design(config)
 
     if engine == "twolevel":
         traj = _twolevel_run(config, spec, me, schedule)
-        manifest.add_artifact(traj.to_csv(os.path.join(out_dir, "trajectory.csv"), stride=10))
+        manifest.add_artifact(traj.to_csv(manifest.path("trajectory.csv"), stride=10))
         fid = traj.final_fidelity
         report = {
             "engine": "twolevel",
@@ -392,8 +391,8 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
         }
     elif engine == "grid":
         rep, density = _grid_run(config, spec, schedule)
-        manifest.add_artifact(rep.to_csv(os.path.join(out_dir, "grid_report.csv")))
-        manifest.add_artifact(write_csv(os.path.join(out_dir, "final_density.csv"),
+        manifest.add_artifact(rep.to_csv(manifest.path("grid_report.csv")))
+        manifest.add_artifact(write_csv(manifest.path("final_density.csv"),
                                         _DENSITY_HEADER, density))
         fid = rep.final_fidelity
         report = {
@@ -409,7 +408,7 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
-    manifest.add_artifact(write_json(os.path.join(out_dir, "report.json"), report))
+    manifest.add_artifact(write_json(manifest.path("report.json"), report))
     manifest.add_scalar("final_fidelity", fid)
     manifest.add_scalar("delta_e", spec.delta_e)
     manifest.write(config)
@@ -430,33 +429,35 @@ def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"
     values = getattr(config, _SCAN_GRIDS[kind])
     if len(values) == 0:
         raise ConfigError("empty scan grid")
-    _ensure_out_dir(out_dir)
     manifest = _Manifest(f"scan:{kind}", out_dir)
-
-    total = 0
-    failed = 0
+    curves = []
     for suffix, cfg, spec, schedule in _curves(config):
         result = _scan(kind, engine, cfg, spec, schedule)
-        path = os.path.join(out_dir, f"scan_{kind}{suffix}.csv")
+        oracle = None  # rows: fidelity, standard error
         if kind == "noise" and cfg.trajectories > 0:
-            oracle = np.full(len(values), np.nan)
-            oracle_se = np.full(len(values), np.nan)
+            oracle = np.full((2, len(values)), np.nan)
             for i, lam in enumerate(values):
-                oracle[i], oracle_se[i] = stochastic_oracle(
-                    spec, schedule, lam, trajectories=cfg.trajectories,
-                    seed=(cfg.seed, i))
-            path = write_csv(path, "lambda_prime,fidelity,oracle_fidelity,oracle_stderr",
-                             (result.values, result.fidelities, oracle, oracle_se))
-        else:
+                oracle[:, i] = stochastic_oracle(spec, schedule, lam,
+                                                 trajectories=cfg.trajectories,
+                                                 seed=(cfg.seed, i))
+        curves.append((suffix, result, oracle))
+
+    failed = 0
+    for suffix, result, oracle in curves:  # every curve ran: now write them
+        path = manifest.path(f"scan_{kind}{suffix}.csv")
+        if oracle is None:
             path = result.to_csv(path)
+        else:
+            path = write_csv(path, "lambda_prime,fidelity,oracle_fidelity,oracle_stderr",
+                             (result.values, result.fidelities, *oracle))
         manifest.add_artifact(path)
         if kind == "systematic":
             curvature = result.curvature_at_zero()
             if curvature is not None:
                 manifest.add_scalar(f"curvature_at_zero{suffix}", curvature)
-        total += len(values)
         failed += len(result.failures)
 
+    total = len(values) * len(curves)
     manifest.add_scalar("points", total)
     manifest.add_scalar("failed_points", failed)
     manifest.write(config)
@@ -534,12 +535,11 @@ def cmd_reproduce(figure: str, out_dir):
     canonical configuration."""
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; choose from {tuple(_FIGURES)}")
-    _ensure_out_dir(out_dir)
     config = RunConfig()
     manifest = _Manifest(f"reproduce:{figure}", out_dir)
     tables, scalars = _FIGURES[figure](config)
     for name, header, columns in tables:
-        manifest.add_artifact(write_csv(os.path.join(out_dir, name), header, columns))
+        manifest.add_artifact(write_csv(manifest.path(name), header, columns))
     for name, value in scalars.items():
         manifest.add_scalar(name, value)
     manifest.write(config)

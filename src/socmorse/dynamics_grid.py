@@ -65,7 +65,6 @@ __all__ = [
     "init_basis_state",
     "target_state",
     "evolve",
-    "observables",
     "density_profile",
 ]
 
@@ -197,14 +196,8 @@ def target_state(grid: SpatialGrid, spec: TransferSpec) -> SpinorField:
     return init_basis_state(grid, spec.morse, spec.l, "down", spec.alpha)
 
 
-def observables(fld: SpinorField, grid: SpatialGrid, morse: MorseSpec,
-                spec: TransferSpec) -> GridObservables:
+def _observables(fld: SpinorField, tgt: SpinorField) -> GridObservables:
     """Norm, coordinate mean, polarization components, target fidelity."""
-    tgt = init_basis_state(grid, morse, spec.l, "down", spec.alpha)
-    return _observables_fast(fld, tgt)
-
-
-def _observables_fast(fld: SpinorField, tgt: SpinorField) -> GridObservables:
     dx = fld.grid.dx
     dens_up = np.abs(fld.up) ** 2
     dens_dn = np.abs(fld.down) ** 2
@@ -391,7 +384,7 @@ def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
     records = []
 
     def record(t):
-        snap = _observables_fast(SpinorField(grid, psi[0], psi[1]), tgt)
+        snap = _observables(SpinorField(grid, psi[0], psi[1]), tgt)
         records.append((t, snap))
         if not np.isfinite(snap.norm) or abs(snap.norm - 1.0) > 1e-4:
             raise NumericalFailureError(

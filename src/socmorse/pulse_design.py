@@ -138,85 +138,45 @@ class TransferSpec:
         return cls(morse=morse, **d)
 
 
-class _SmoothStepPath:
-    """Cubic polar angle 0 -> pi with zero endpoint rate, evaluated stably.
+def _path(t, t_f: float, c: float):
+    """The designed state path at time(s) t, evaluated once per call.
 
-    Near the final time the angle approaches pi quadratically; computing
-    sin(theta) through pi - theta directly (same cubic in the remaining
-    time) avoids the total cancellation that plain sin(pi - tiny) suffers.
+    The polar angle is a cubic smooth step 0 -> pi with zero endpoint rate,
+    evaluated through theta or pi - theta, whichever is nearer (the same
+    cubic in the remaining time), so sin(theta) keeps full precision as
+    theta -> pi.  The azimuth phi_a follows from the constraint
+    tan(phi - phi_a) = theta' / (c sin theta), on the branch with
+    cos(phi - phi_a) >= 0, continuous inside (0, t_f).
+
+    Returns arrays ``(sin theta, cos theta, theta', r, phi_a')`` with
+    r = hypot(theta', c sin theta); phi_a' takes its finite limits +-c/2
+    where theta' and sin(theta) both vanish.
     """
-
-    def __init__(self, t_f: float):
-        self.t_f = t_f
-
-    def _s(self, t):
-        return np.clip(np.asarray(t, dtype=float) / self.t_f, 0.0, 1.0)
-
-    @staticmethod
-    def _ramp(s):
-        return np.pi * s * s * (3.0 - 2.0 * s)
-
-    def theta(self, t):
-        s = self._s(t)
-        out = np.where(s <= 0.5, self._ramp(s), np.pi - self._ramp(1.0 - s))
-        return out if out.ndim else float(out)
-
-    def sin_cos_theta(self, t):
-        s = self._s(t)
-        near = self._ramp(np.where(s <= 0.5, s, 1.0 - s))  # theta or pi - theta
-        sin_t = np.sin(near)
-        cos_t = np.where(s <= 0.5, np.cos(near), -np.cos(near))
-        if sin_t.ndim:
-            return sin_t, cos_t
-        return float(sin_t), float(cos_t)
-
-    def dtheta(self, t):
-        s = self._s(t)
-        out = 6.0 * np.pi * s * (1.0 - s) / self.t_f
-        return out if out.ndim else float(out)
-
-    def ddtheta(self, t):
-        s = self._s(t)
-        out = 6.0 * np.pi * (1.0 - 2.0 * s) / self.t_f**2
-        return out if out.ndim else float(out)
+    s = np.clip(np.asarray(t, dtype=float) / t_f, 0.0, 1.0)
+    first_half = s <= 0.5
+    u = np.where(first_half, s, 1.0 - s)
+    near = np.pi * u * u * (3.0 - 2.0 * u)  # theta or pi - theta
+    sin_t = np.sin(near)
+    cos_t = np.where(first_half, np.cos(near), -np.cos(near))
+    dth = 6.0 * np.pi * s * (1.0 - s) / t_f
+    ddth = 6.0 * np.pi * (1.0 - 2.0 * s) / t_f**2
+    num = c * (dth * dth * cos_t - ddth * sin_t)
+    den = (c * sin_t) ** 2 + dth * dth
+    dphi_a = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                      np.where(first_half, 0.5 * c, -0.5 * c))
+    return sin_t, cos_t, dth, np.hypot(dth, c * sin_t), dphi_a
 
 
-def _mismatch_sin_cos(path: _SmoothStepPath, c: float, t):
-    """sin and cos of (phi - phi_a) on the branch continuous inside (0, t_f).
+def _less_mean_field(b, cos_t, g):
+    """``b`` less the mean-field splitting n1 - n2 on the designed path.
 
-    The constraint fixes tan(phi - phi_a) = dtheta / (c sin theta); the
-    branch with cos(phi - phi_a) >= 0 is continuous and tends to
-    sign(c) * pi/2 at both ends.
+    The path holds populations p1 = (1 + cos theta)/2 and
+    p2 = (1 - cos theta)/2, so n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2.
     """
-    sin_t, _ = path.sin_cos_theta(t)
-    dth = path.dtheta(t)
-    sg = 1.0 if c > 0 else -1.0
-    r = np.hypot(dth, c * np.asarray(sin_t))
-    safe = np.where(r > 0.0, r, 1.0)
-    s_pma = np.where(r > 0.0, sg * dth / safe, sg)
-    c_pma = np.where(r > 0.0, abs(c) * np.asarray(sin_t) / safe, 0.0)
-    if np.ndim(s_pma):
-        return s_pma, c_pma
-    return float(s_pma), float(c_pma)
-
-
-def _dphi_a(path: _SmoothStepPath, c: float, t):
-    """Rate of the azimuthal angle; finite limits +-c/2 at the endpoints."""
-    sin_t, cos_t = path.sin_cos_theta(t)
-    dth = path.dtheta(t)
-    ddth = path.ddtheta(t)
-    num = c * (dth * dth * np.asarray(cos_t) - ddth * np.asarray(sin_t))
-    den = (c * np.asarray(sin_t)) ** 2 + dth * dth
-    s = path._s(t)
-    endpoint = np.where(s < 0.5, 0.5 * c, -0.5 * c)
-    out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), endpoint)
-    return out if out.ndim else float(out)
-
-
-def _phi_a(path: _SmoothStepPath, c: float, phi: float, t: float) -> float:
-    """Azimuthal angle of the tracked eigenstate at time t for coupling phase phi."""
-    s_pma, c_pma = _mismatch_sin_cos(path, c, t)
-    return phi - math.atan2(s_pma, c_pma)
+    g11, g22, g12, g21 = g
+    p1 = 0.5 * (1.0 + cos_t)
+    p2 = 0.5 * (1.0 - cos_t)
+    return b - g11 * p1 - g12 * p2 + g22 * p2 + g21 * p1
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +185,13 @@ def _phi_a(path: _SmoothStepPath, c: float, phi: float, t: float) -> float:
 
 @dataclass
 class PulseSchedule:
-    """Sampled control channels plus the exact callables that built them.
+    """Sampled control channels plus the callables that evaluate them.
 
-    Channel evaluation prefers the analytic callables when present (always,
-    for freshly designed schedules) and falls back to a cubic spline through
-    the samples after a CSV round trip, so simulators at any time step see
-    a well-defined interpolation contract either way.
+    One interpolation rule: a channel at time(s) t is ``fn_a``/``fn_b`` at
+    t clipped to [times[0], times[-1]], a float for a scalar t.  A designed
+    schedule carries the exact closed forms; a schedule given only samples
+    (every :meth:`from_csv` result) gets not-a-knot cubic splines through
+    them, built once on construction.
     """
 
     times: np.ndarray
@@ -256,31 +217,22 @@ class PulseSchedule:
                           (self.label_b, self.channel_b)):
             if not np.all(np.isfinite(col)):
                 raise DomainError(f"non-finite values in {name}")
-        self._spl_a = None
-        self._spl_b = None
+        self.fn_a = self.fn_a or CubicSpline(self.times, self.channel_a)
+        self.fn_b = self.fn_b or CubicSpline(self.times, self.channel_b)
 
     @property
     def t_f(self) -> float:
         return float(self.times[-1])
 
-    def _clip(self, t):
-        return np.clip(t, self.times[0], self.times[-1])
+    def _at(self, fn, t):
+        out = fn(np.clip(t, self.times[0], self.times[-1]))
+        return out if np.ndim(out) else float(out)
 
     def a_at(self, t):
-        if self.fn_a is not None:
-            return self.fn_a(self._clip(t))
-        if self._spl_a is None:
-            self._spl_a = CubicSpline(self.times, self.channel_a)
-        out = self._spl_a(self._clip(t))
-        return out if np.ndim(out) else float(out)
+        return self._at(self.fn_a, t)
 
     def b_at(self, t):
-        if self.fn_b is not None:
-            return self.fn_b(self._clip(t))
-        if self._spl_b is None:
-            self._spl_b = CubicSpline(self.times, self.channel_b)
-        out = self._spl_b(self._clip(t))
-        return out if np.ndim(out) else float(out)
+        return self._at(self.fn_b, t)
 
     @property
     def max_abs_a(self) -> float:
@@ -310,8 +262,7 @@ class PulseSchedule:
 
     def with_channel_b_scaled(self, factor: float) -> "PulseSchedule":
         """Same schedule with the second channel multiplied by ``factor``."""
-        fn_b = None if self.fn_b is None else (lambda t, f=self.fn_b: factor * np.asarray(f(t)))
-        out = PulseSchedule(
+        return PulseSchedule(
             times=self.times.copy(),
             channel_a=self.channel_a.copy(),
             channel_b=factor * self.channel_b,
@@ -321,9 +272,8 @@ class PulseSchedule:
             coupling=self.coupling,
             phi=self.phi,
             fn_a=self.fn_a,
-            fn_b=fn_b,
+            fn_b=lambda t, f=self.fn_b: factor * np.asarray(f(t)),
         )
-        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -376,43 +326,6 @@ def _sidecar_path(csv_path: str) -> str:
 # the designs
 
 
-def _amplitude_fn(path: _SmoothStepPath, c: float, denom: float):
-    """Common closed form -sign(c) sqrt(dtheta^2 + c^2 sin^2 theta) / denom.
-
-    Equals -dtheta / (denom * sin(phi - phi_a)) on the constraint branch but
-    stays well defined at the endpoints where that quotient is 0/0.
-    """
-    sg = 1.0 if c > 0 else -1.0
-
-    def amp(t):
-        sin_t, _ = path.sin_cos_theta(t)
-        dth = path.dtheta(t)
-        out = -sg * np.hypot(dth, c * np.asarray(sin_t)) / denom
-        return out if np.ndim(out) else float(out)
-
-    return amp
-
-
-def _gap_fn(path: _SmoothStepPath, spec: TransferSpec, compensation=None):
-    """Detuning/Zeeman channel; the constraint reduces its singular term to
-    c cos(theta), and the endpoint rates +-c/2 give gaps of 3|c|/2."""
-    split = spec.level_splitting
-    c = spec.c
-
-    def gap(t):
-        sin_t, cos_t = path.sin_cos_theta(t)
-        b = split - _dphi_a(path, c, t) - c * np.asarray(cos_t)
-        if compensation is not None:
-            g11, g22, g12, g21 = compensation
-            cos_half_sq = 0.5 * (1.0 + np.asarray(cos_t))
-            sin_half_sq = 0.5 * (1.0 - np.asarray(cos_t))
-            b = b - g11 * cos_half_sq - g12 * sin_half_sq \
-                + g22 * sin_half_sq + g21 * cos_half_sq
-        return b if np.ndim(b) else float(b)
-
-    return gap
-
-
 def _build_schedule(spec, coupling, phi, label_a, label_b, denom,
                     sample_count, compensation=None):
     if abs(coupling) < _COUPLING_FLOOR:
@@ -422,9 +335,21 @@ def _build_schedule(spec, coupling, phi, label_a, label_b, denom,
         )
     if sample_count < 16:
         raise DomainError("sample_count must be at least 16")
-    path = _SmoothStepPath(spec.t_f)
-    amp = _amplitude_fn(path, spec.c, denom)
-    gap = _gap_fn(path, spec, compensation)
+    t_f, c, split = spec.t_f, spec.c, spec.level_splitting
+    sg = 1.0 if c > 0 else -1.0
+
+    def amp(t):
+        # equals -theta' / (denom sin(phi - phi_a)) on the constraint branch,
+        # but stays finite at the endpoints where that quotient is 0/0
+        return -sg * _path(t, t_f, c)[3] / denom
+
+    def gap(t):
+        # the constraint reduces the singular term to c cos(theta); the
+        # endpoint rates +-c/2 give gaps of 3|c|/2
+        _, cos_t, _, _, dphi_a = _path(t, t_f, c)
+        b = split - dphi_a - c * cos_t
+        return b if compensation is None else _less_mean_field(b, cos_t, compensation)
+
     times = np.linspace(0.0, spec.t_f, sample_count)
     return PulseSchedule(
         times=times,
@@ -512,44 +437,22 @@ def raw_from_effective(spec: TransferSpec):
 # self-test of a schedule against the state path it was built from
 
 
-def _hamiltonian_from_schedule(schedule: PulseSchedule, t: float):
-    """Traceless 2x2 matrix the reduced model assigns to the schedule at t.
-
-    For the interacting scheme the mean-field diagonal is evaluated on the
-    designed state path, which is the model in which the compensated design
-    is exact.
-    """
-    spec = schedule.spec
-    z, off = schedule.reduced_terms(t)
-    h = np.array([[0.5 * z, off], [np.conj(off), -0.5 * z]], dtype=complex)
-    if spec.scheme == "so_direction_interacting":
-        path = _SmoothStepPath(spec.t_f)
-        _, cos_t = path.sin_cos_theta(t)
-        p1 = 0.5 * (1.0 + cos_t)
-        p2 = 0.5 * (1.0 - cos_t)
-        n1 = spec.g11 * p1 + spec.g12 * p2
-        n2 = spec.g21 * p1 + spec.g22 * p2
-        h += np.diag([0.5 * (n1 - n2), -0.5 * (n1 - n2)])
-    return h
-
-
 def invariant_residual(schedule: PulseSchedule, t: float) -> float:
     """Frobenius norm of i dI/dt - [H, I] at time t.
 
     I is the tracked-path operator built from the design angles; H is
-    assembled from the schedule's channels.  Vanishes (to rounding) for an
+    assembled from the schedule's channels, and for the interacting scheme
+    its mean-field diagonal is evaluated on the designed path, the model in
+    which the compensated design is exact.  Vanishes (to rounding) for an
     uncorrupted designed schedule at interior times.
     """
     spec = schedule.spec
     if not 0.0 < t < spec.t_f:
         raise DomainError("residual is defined on the open interval (0, t_f)")
-    path = _SmoothStepPath(spec.t_f)
-    sin_t, cos_t = path.sin_cos_theta(t)
-    dth = path.dtheta(t)
-    phi_a = _phi_a(path, spec.c, schedule.phi, t)
-    dphi = _dphi_a(path, spec.c, t)
-
-    eip = np.exp(1j * phi_a)
+    sin_t, cos_t, dth, r, dphi = _path(t, spec.t_f, spec.c)
+    sg = 1.0 if spec.c > 0 else -1.0
+    # exp(i phi_a) with phi - phi_a = atan2(sg theta', |c| sin theta); r > 0 inside
+    eip = np.exp(1j * schedule.phi) * (abs(spec.c) * sin_t - 1j * sg * dth) / r
     inv = 0.5 * np.array(
         [[cos_t, sin_t * eip], [sin_t * np.conj(eip), -cos_t]], dtype=complex
     )
@@ -560,6 +463,9 @@ def invariant_residual(schedule: PulseSchedule, t: float) -> float:
         ],
         dtype=complex,
     )
-    h = _hamiltonian_from_schedule(schedule, t)
+    z, off = schedule.reduced_terms(t)
+    if spec.scheme == "so_direction_interacting":
+        z = z - _less_mean_field(0.0, cos_t, spec.g_effective)  # z + n1 - n2
+    h = np.array([[0.5 * z, off], [np.conj(off), -0.5 * z]], dtype=complex)
     resid = 1j * dinv - (h @ inv - inv @ h)
     return float(np.linalg.norm(resid))

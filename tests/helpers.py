@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from socmorse.pulse_design import PulseSchedule
+from socmorse.pulse_design import PulseSchedule, _path
 
 
 def constant_schedule(spec, coupling, amp, gap, n=64):
@@ -35,11 +35,20 @@ def time_reversed(schedule):
         spec=schedule.spec,
         coupling=schedule.coupling,
         phi=schedule.phi,
-        fn_a=None if fn_a is None else (lambda t: fn_a(tf - np.asarray(t))),
-        fn_b=None if fn_b is None else (lambda t: fn_b(tf - np.asarray(t))),
+        fn_a=lambda t: fn_a(tf - np.asarray(t)),
+        fn_b=lambda t: fn_b(tf - np.asarray(t)),
     )
 
 
 def smooth_step_coefficients(t_f):
     """Polynomial coefficients (a0, a1, a2, a3) of the cubic polar-angle path."""
     return (0.0, 0.0, 3.0 * np.pi / t_f**2, -2.0 * np.pi / t_f**3)
+
+
+def path_angles(t, t_f, c):
+    """Polar angle theta and mismatch phi - phi_a of the designed path at t.
+
+    The mismatch is the constraint branch atan2(sign(c) theta', |c| sin theta).
+    """
+    sin_t, cos_t, dth, _, _ = _path(t, t_f, c)
+    return np.arctan2(sin_t, cos_t), np.arctan2(np.sign(c) * dth, abs(c) * sin_t)

@@ -182,6 +182,7 @@ class TestCommands:
         code = main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["design", "inspect"])
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e308"])
@@ -222,6 +223,7 @@ class TestCommands:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and "t_f" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, settings", [
         ("systematic", "noise.lambda = -0.2:0.2:0.1\n"),
@@ -414,6 +416,8 @@ class TestNumericKeys:
         assert code == (code_at_1e308 if value == "1e308" else EXIT_CONFIG)
         err = capsys.readouterr().err
         assert err.startswith("error:" if code == EXIT_CONFIG else ("numerical", "scan failed"))
+        if code == EXIT_CONFIG:  # a rejected value leaves no output directory
+            assert not (tmp_path / "out").exists()
 
 
 class TestReproduce:

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import smooth_step_coefficients, time_reversed
+from helpers import path_angles, smooth_step_coefficients, time_reversed
+from socmorse.dynamics_two_level import propagate
 from socmorse.errors import DesignInfeasibleError, DomainError
 from socmorse.morse import MorseSpec, matrix_elements
 from socmorse.pulse_design import (
@@ -12,10 +13,7 @@ from socmorse.pulse_design import (
     PulseSchedule,
     SmallAngleWarning,
     TransferSpec,
-    _dphi_a,
-    _mismatch_sin_cos,
-    _phi_a,
-    _SmoothStepPath,
+    _path,
     design_scheme1,
     design_scheme2,
     design_scheme2_interacting,
@@ -116,58 +114,68 @@ class TestSpecValidation:
         assert again == spec1
 
 
-@pytest.fixture(scope="module")
-def path():
-    return _SmoothStepPath(T_F)
+def theta(t):
+    return path_angles(t, T_F, C)[0]
+
+
+def dtheta(t):
+    return _path(t, T_F, C)[2]
+
+
+def dphi_a(c, t):
+    return _path(t, T_F, c)[4]
 
 
 class TestThetaAnsatz:
-    def test_cubic_coefficients(self, path):
+    def test_cubic_coefficients(self):
         a0, a1, a2, a3 = smooth_step_coefficients(T_F)
         assert (a0, a1) == (0.0, 0.0)
         assert a2 == pytest.approx(3 * math.pi / T_F**2, rel=1e-14)
         assert a3 == pytest.approx(-2 * math.pi / T_F**3, rel=1e-14)
         # the sampled cubic matches its coefficients
         t = np.linspace(0, T_F, 7)
-        assert np.allclose(path.theta(t), a2 * t**2 + a3 * t**3, atol=1e-12)
+        assert np.allclose(theta(t), a2 * t**2 + a3 * t**3, atol=1e-12)
 
-    def test_boundary_conditions(self, path):
-        assert path.theta(0.0) == 0.0
-        assert path.theta(T_F) == pytest.approx(math.pi, abs=1e-14)
-        assert path.dtheta(0.0) == 0.0
-        assert path.dtheta(T_F) == pytest.approx(0.0, abs=1e-14)
+    def test_boundary_conditions(self):
+        assert theta(0.0) == 0.0
+        assert theta(T_F) == pytest.approx(math.pi, abs=1e-14)
+        assert dtheta(0.0) == 0.0
+        assert dtheta(T_F) == pytest.approx(0.0, abs=1e-14)
 
-    def test_midpoint_values(self, path):
-        assert path.theta(T_F / 2) == pytest.approx(math.pi / 2, rel=1e-14)
-        assert path.dtheta(T_F / 2) == pytest.approx(3 * math.pi / (2 * T_F), rel=1e-14)
+    def test_midpoint_values(self):
+        assert theta(T_F / 2) == pytest.approx(math.pi / 2, rel=1e-14)
+        assert dtheta(T_F / 2) == pytest.approx(3 * math.pi / (2 * T_F), rel=1e-14)
 
-    def test_monotone(self, path):
-        vals = path.theta(np.linspace(0, T_F, 4001))
+    def test_monotone(self):
+        vals = theta(np.linspace(0, T_F, 4001))
         assert np.all(np.diff(vals) >= 0)
+
+    def test_gap_radius(self):
+        t = np.linspace(0, T_F, 101)
+        sin_t, _, dth, r, _ = _path(t, T_F, C)
+        assert np.array_equal(r, np.hypot(dth, C * sin_t))
+        assert np.all(r[1:-1] > 0.0)
 
 
 class TestConstraintAngles:
-    def test_endpoint_rates(self, path):
-        assert _dphi_a(path, C, 0.0) == pytest.approx(C / 2, rel=1e-12)
-        assert _dphi_a(path, C, T_F) == pytest.approx(-C / 2, rel=1e-12)
+    def test_endpoint_rates(self):
+        assert dphi_a(C, 0.0) == pytest.approx(C / 2, rel=1e-12)
+        assert dphi_a(C, T_F) == pytest.approx(-C / 2, rel=1e-12)
         # continuity approaching the endpoints
-        assert _dphi_a(path, C, 1e-9) == pytest.approx(C / 2, rel=1e-6)
-        assert _dphi_a(path, C, T_F - 1e-9) == pytest.approx(-C / 2, rel=1e-6)
+        assert dphi_a(C, 1e-9) == pytest.approx(C / 2, rel=1e-6)
+        assert dphi_a(C, T_F - 1e-9) == pytest.approx(-C / 2, rel=1e-6)
 
-    def test_midpoint_mismatch_angle(self, path):
-        phi = 0.7
+    def test_midpoint_mismatch_angle(self):
         want = math.atan(3 * math.pi / (2 * T_F * C))
-        assert phi - _phi_a(path, C, phi, T_F / 2) == pytest.approx(want, rel=1e-12)
-        s_pma, c_pma = _mismatch_sin_cos(path, C, T_F / 2)
-        assert math.atan2(s_pma, c_pma) == pytest.approx(want, rel=1e-12)
+        assert path_angles(T_F / 2, T_F, C)[1] == pytest.approx(want, rel=1e-12)
 
-    def test_endpoint_mismatch_is_quarter_turn(self, path):
-        assert -_phi_a(path, C, 0.0, 0.0) == pytest.approx(math.pi / 2, rel=1e-12)
-        assert -_phi_a(path, C, 0.0, T_F) == pytest.approx(math.pi / 2, rel=1e-12)
+    def test_endpoint_mismatch_is_quarter_turn(self):
+        for t in (1e-13, T_F - 1e-13):
+            assert path_angles(t, T_F, C)[1] == pytest.approx(math.pi / 2, rel=1e-12)
 
-    def test_negative_gap_parameter_flips_branch(self, path):
-        assert -_phi_a(path, -0.1, 0.0, 0.0) == pytest.approx(-math.pi / 2, rel=1e-12)
-        assert _dphi_a(path, -0.1, 0.0) == pytest.approx(-0.05, rel=1e-12)
+    def test_negative_gap_parameter_flips_branch(self):
+        assert path_angles(1e-13, T_F, -0.1)[1] == pytest.approx(-math.pi / 2, rel=1e-12)
+        assert dphi_a(-0.1, 0.0) == pytest.approx(-0.05, rel=1e-12)
 
 
 class TestScheme1:
@@ -354,6 +362,20 @@ class TestScheduleObject:
         for t in (0.0, 2.5, 7.25, T_F):
             assert rev.a_at(t) == pytest.approx(sched1.a_at(T_F - t), abs=1e-14)
             assert rev.b_at(t) == pytest.approx(sched1.b_at(T_F - t), abs=1e-14)
+
+    def test_loaded_schedule_end_to_end(self, spec1, me, sched1, tmp_path):
+        csv_path, _ = sched1.to_csv(tmp_path / "s.csv")
+        loaded = PulseSchedule.from_csv(csv_path)
+        designed = propagate(spec1, me, sched1).final_fidelity
+        assert propagate(loaded.spec, me, loaded).final_fidelity == pytest.approx(
+            designed, abs=1e-6)
+        t = np.linspace(0.0, T_F, 37)
+        scaled = loaded.with_channel_b_scaled(1.02)
+        assert np.allclose(scaled.b_at(t), 1.02 * loaded.b_at(t), rtol=0.0, atol=1e-12)
+        assert isinstance(scaled.b_at(4.0), float) and isinstance(loaded.a_at(4.0), float)
+        rev = time_reversed(loaded)
+        assert np.allclose(rev.a_at(t), loaded.a_at(T_F - t), rtol=0.0, atol=1e-14)
+        assert np.allclose(rev.b_at(t), loaded.b_at(T_F - t), rtol=0.0, atol=1e-14)
 
     def test_rejects_nonfinite_samples(self, spec1, me):
         with pytest.raises(DomainError):

@@ -19,7 +19,7 @@ from socmorse.dynamics_two_level import (
 from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.morse import matrix_elements
 from socmorse.numerics import OdeSettings
-from helpers import constant_schedule, time_reversed
+from helpers import constant_schedule, path_angles, time_reversed
 from reduced_reference import assemble_H, ode_propagate
 
 
@@ -83,10 +83,7 @@ class TestPropagate:
 
     def test_tracks_designed_angles(self, ctx):
         # the state follows the tracked eigenstate's polar/azimuthal angles
-        from socmorse.pulse_design import _phi_a, _SmoothStepPath
-
         spec = ctx.spec_raman
-        path = _SmoothStepPath(spec.t_f)
         traj = ctx.twolevel_raman
         sel = slice(200, len(traj.times) - 200, 400)
         c1 = traj.states[sel, 0]
@@ -97,8 +94,9 @@ class TestPropagate:
         for t, ui, vi, wi in zip(traj.times[sel], u, v, w):
             theta_state = math.acos(max(-1.0, min(1.0, wi)))
             phi_state = math.atan2(vi, ui)
-            dtheta = abs(theta_state - path.theta(t))
-            phi_a = _phi_a(path, spec.c, ctx.me.phi_G, t)
+            theta, mismatch = path_angles(t, spec.t_f, spec.c)
+            dtheta = abs(theta_state - theta)
+            phi_a = ctx.me.phi_G - mismatch
             dphi = (phi_state - phi_a + math.pi) % (2 * math.pi) - math.pi
             assert dtheta <= 1e-4
             assert abs(dphi) <= 1e-4
