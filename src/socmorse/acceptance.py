@@ -85,6 +85,24 @@ class _Check:
         )
 
 
+_CRITERIA = []  # (label, check, slow) of every criterion, in run order
+
+
+def _criterion(label, slow=False, expected_fail=False):
+    """Register a criterion under ``label`` in run order.  The decorated
+    function fills a :class:`_Check` from the context; the registered
+    callable takes the context and returns the :class:`CriterionResult`.
+    ``slow`` criteria are skipped by a fast run."""
+    def register(fill):
+        def check(ctx):
+            chk = _Check()
+            fill(ctx, chk)
+            return chk.result(label, expected_fail)
+        _CRITERIA.append((label, check, slow))
+        return check
+    return register
+
+
 class AcceptanceContext:
     """Lazily computed shared artifacts for the acceptance criteria."""
 
@@ -198,8 +216,8 @@ class AcceptanceContext:
 # criteria
 
 
-def criterion_1_bound_structure(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("1. bound-state structure")
+def criterion_1_bound_structure(ctx: AcceptanceContext, chk: _Check):
     e0 = ctx.morse.bound_state(0).energy
     e1 = ctx.morse.bound_state(1).energy
     chk.expect(e0 == -6.125, f"closed-form E0 = {e0} equals -6.125")
@@ -218,11 +236,10 @@ def criterion_1_bound_structure(ctx: AcceptanceContext) -> CriterionResult:
             worst_ortho = max(worst_ortho, abs(val - (1.0 if i == j else 0.0)))
     chk.expect(worst_ortho <= 1e-7,
                f"orthonormality residual {worst_ortho:.2e} <= 1e-7")
-    return chk.result("1. bound-state structure")
 
 
-def criterion_2_overlap_constants(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("2. interaction overlap constants")
+def criterion_2_overlap_constants(ctx: AcceptanceContext, chk: _Check):
     q00 = overlap_Q(0, 0, ctx.morse)
     q11 = overlap_Q(1, 1, ctx.morse)
     q01 = overlap_Q(0, 1, ctx.morse)
@@ -231,11 +248,10 @@ def criterion_2_overlap_constants(ctx: AcceptanceContext) -> CriterionResult:
     chk.expect(abs(r1 - 1.5) <= 0.02, f"Q(0,0)/Q(1,1) = {r1:.4f} within 1.5 +- 0.02")
     chk.expect(abs(r2 - 0.23) <= 0.01,
                f"Q(0,1)/[Q(0,0)+Q(1,1)] = {r2:.4f} within 0.23 +- 0.01")
-    return chk.result("2. interaction overlap constants")
 
 
-def criterion_3_design_endpoints(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("3. design endpoint values")
+def criterion_3_design_endpoints(ctx: AcceptanceContext, chk: _Check):
     split = ctx.spec_raman.level_splitting
     for spec, sched, c in ((ctx.spec_raman, ctx.sched_raman, C_SMALL),
                            (ctx.spec_raman_wide, ctx.sched_raman_wide, C_LARGE)):
@@ -247,11 +263,10 @@ def criterion_3_design_endpoints(ctx: AcceptanceContext) -> CriterionResult:
                    f"c={c}: end detuning {b1:.8f} = split + 3c/2")
         chk.expect(abs(spec.delta_e - 1.5 * c) <= 1e-12,
                    f"c={c}: boundary gap {spec.delta_e} = 3|c|/2")
-    return chk.result("3. design endpoint values")
 
 
-def criterion_4_alpha_invariance(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("4. detuning independent of spin-orbit strength")
+def criterion_4_alpha_invariance(ctx: AcceptanceContext, chk: _Check):
     reference = None
     worst = 0.0
     for alpha in (0.8, 1.2, 1.6, 2.0):
@@ -264,11 +279,10 @@ def criterion_4_alpha_invariance(ctx: AcceptanceContext) -> CriterionResult:
             worst = max(worst, float(np.max(np.abs(sched.channel_b - reference))))
     chk.expect(worst <= 1e-10,
                f"detuning samples spread {worst:.2e} <= 1e-10 across alpha")
-    return chk.result("4. detuning independent of spin-orbit strength")
 
 
-def criterion_5_two_level_transfer(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("5. two-level transfer and invariant tracking")
+def criterion_5_two_level_transfer(ctx: AcceptanceContext, chk: _Check):
     f1 = ctx.twolevel_raman.final_fidelity
     f2 = ctx.twolevel_tilt.final_fidelity
     chk.expect(f1 >= 1.0 - 1e-6, f"Raman-scheme two-level fidelity {f1:.9f} >= 1 - 1e-6")
@@ -279,11 +293,10 @@ def criterion_5_two_level_transfer(ctx: AcceptanceContext) -> CriterionResult:
         worst = max(invariant_residual(sched, float(t)) for t in times)
         chk.expect(worst <= 1e-8,
                    f"{name} invariant residual {worst:.2e} <= 1e-8 at 100 interior times")
-    return chk.result("5. two-level transfer and invariant tracking")
 
 
-def criterion_6_grid_headline(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("6. full-grid validation of the Raman design", slow=True)
+def criterion_6_grid_headline(ctx: AcceptanceContext, chk: _Check):
     f_small = ctx.grid_run_small_gap[1].final_fidelity
     f_wide = ctx.grid_run_wide_gap[1].final_fidelity
     chk.expect(abs(f_small - 0.9966) <= 0.003,
@@ -291,11 +304,10 @@ def criterion_6_grid_headline(ctx: AcceptanceContext) -> CriterionResult:
     chk.expect(abs(f_wide - 0.979) <= 0.005,
                f"grid fidelity c=1.5: {f_wide:.5f} within 0.979 +- 0.005")
     chk.expect(f_wide < f_small, "wider gap transfers with lower fidelity")
-    return chk.result("6. full-grid validation of the Raman design")
 
 
-def criterion_7_grid_observables(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("7. grid observables", slow=True)
+def criterion_7_grid_observables(ctx: AcceptanceContext, chk: _Check):
     rep = ctx.grid_run_small_gap[1]
     chk.expect(abs(rep.Pz[0] - 1.0) <= 1e-9, f"initial polarization {rep.Pz[0]:.6f} = 1")
     chk.expect(abs(rep.Pz[-1] + 1.0) <= 0.01,
@@ -308,11 +320,10 @@ def criterion_7_grid_observables(ctx: AcceptanceContext) -> CriterionResult:
                f"final <x> {rep.x_expect[-1]:.5f} matches closed-form <1|x|1> {x11:.5f}")
     chk.expect(rep.x_expect[-1] - rep.x_expect[0] > 0,
                f"net displacement {rep.x_expect[-1] - rep.x_expect[0]:.4f} positive")
-    return chk.result("7. grid observables")
 
 
-def criterion_8_compensation(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("8. mean-field compensation (two-level)")
+def criterion_8_compensation(ctx: AcceptanceContext, chk: _Check):
     f_comp = ctx.twolevel_compensated.final_fidelity
     f_uncomp = ctx.twolevel_uncompensated.final_fidelity
     chk.expect(f_comp >= 1.0 - 1e-6,
@@ -323,11 +334,10 @@ def criterion_8_compensation(ctx: AcceptanceContext) -> CriterionResult:
                                     - ctx.sched_tilt.channel_a)))
     chk.expect(tilt_diff <= 1e-12,
                f"tilt channel unchanged by interactions (diff {tilt_diff:.2e})")
-    return chk.result("8. mean-field compensation (two-level)")
 
 
-def criterion_8g_gpe_grid(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("8g. mean-field compensation (grid)", slow=True, expected_fail=True)
+def criterion_8g_gpe_grid(ctx: AcceptanceContext, chk: _Check):
     f_comp = ctx.gpe_run_compensated[1].final_fidelity
     chk.expect(f_comp >= 0.99, f"mean-field grid fidelity {f_comp:.5f} >= 0.99")
     f_uncomp = ctx.gpe_run_uncompensated[1].final_fidelity
@@ -336,11 +346,10 @@ def criterion_8g_gpe_grid(ctx: AcceptanceContext) -> CriterionResult:
              "the second-order shift kappa sin^2(theta1) (kappa = 0.723) from "
              "the other levels; only about 0.2% of the population leaves the "
              f"two states (peak tilt {ctx.sched_tilt.max_abs_a:.3f} rad)")
-    return chk.result("8g. mean-field compensation (grid)", expected_fail=True)
 
 
-def criterion_9_robustness(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("9. robustness scans")
+def criterion_9_robustness(ctx: AcceptanceContext, chk: _Check):
     lambdas = np.round(np.arange(-0.5, 0.5001, 0.05), 10)
     for spec, sched, name in (
         (ctx.spec_tilt, ctx.sched_tilt, "noninteracting"),
@@ -369,11 +378,10 @@ def criterion_9_robustness(ctx: AcceptanceContext) -> CriterionResult:
     chk.expect(diff <= 0.01,
                f"master equation {f_master:.5f} vs stochastic oracle "
                f"{f_stoch:.5f} (+- {se:.5f}): |diff| = {diff:.5f} <= 0.01")
-    return chk.result("9. robustness scans")
 
 
-def criterion_10_numerical_hygiene(ctx: AcceptanceContext) -> CriterionResult:
-    chk = _Check()
+@_criterion("10. numerical hygiene", slow=True)
+def criterion_10_numerical_hygiene(ctx: AcceptanceContext, chk: _Check):
     drift_linear = float(np.max(np.abs(ctx.grid_run_small_gap[1].norm - 1.0)))
     chk.expect(drift_linear <= 1e-8, f"linear grid norm drift {drift_linear:.2e} <= 1e-8")
     drift_gpe = float(np.max(np.abs(ctx.gpe_run_compensated[1].norm - 1.0)))
@@ -392,44 +400,13 @@ def criterion_10_numerical_hygiene(ctx: AcceptanceContext) -> CriterionResult:
     worst_rise = float(np.max(np.diff(purity)))
     chk.expect(worst_rise <= 1e-9,
                f"purity nonincreasing under noise (max rise {worst_rise:.2e})")
-    return chk.result("10. numerical hygiene")
-
-
-_SLOW = (
-    criterion_6_grid_headline,
-    criterion_7_grid_observables,
-    criterion_8g_gpe_grid,
-    criterion_10_numerical_hygiene,
-)
-
-_ORDER = (
-    criterion_1_bound_structure,
-    criterion_2_overlap_constants,
-    criterion_3_design_endpoints,
-    criterion_4_alpha_invariance,
-    criterion_5_two_level_transfer,
-    criterion_6_grid_headline,
-    criterion_7_grid_observables,
-    criterion_8_compensation,
-    criterion_8g_gpe_grid,
-    criterion_9_robustness,
-    criterion_10_numerical_hygiene,
-)
 
 
 def run_all(ctx: AcceptanceContext = None, fast: bool = False):
     """Run the acceptance criteria and return their results in order."""
     if ctx is None:
         ctx = AcceptanceContext()
-    results = []
-    for fn in _ORDER:
-        if fast and fn in _SLOW:
-            results.append(CriterionResult(
-                label=fn.__name__.replace("criterion_", "").replace("_", " "),
-                passed=False,
-                skipped=True,
-                details=["skipped in fast mode"],
-            ))
-            continue
-        results.append(fn(ctx))
-    return results
+    return [CriterionResult(label=label, passed=False, skipped=True,
+                            details=["skipped in fast mode"])
+            if fast and slow else check(ctx)
+            for label, check, slow in _CRITERIA]

@@ -1,5 +1,5 @@
-"""Exact propagation in the reduced two-state basis, and the one
-fixed-step RK4 behind every reduced-model run.
+"""Propagation in the reduced two-state basis by fixed-step classical RK4
+(the CLI steps at ``grid.dt``), the one RK4 behind every reduced-model run.
 
 States live in the ordered basis (initial vibrational state with spin up,
 target state with spin down); the Hamiltonian comes from the schedule's
@@ -36,8 +36,6 @@ __all__ = [
     "step_amplitudes",
     "propagate",
     "propagate_nonlinear",
-    "spin_polarization",
-    "expectation_x",
 ]
 
 
@@ -58,16 +56,26 @@ class Trajectory:
         return float(np.abs(self.states[-1, 1]) ** 2)
 
     def observables(self, stride: int = 1):
-        """Every recorded observable by column name, each ``stride``-th record."""
-        px, py, pz = spin_polarization(self, self.me)
-        xev = expectation_x(self, self.me)
+        """Every recorded observable by column name, each ``stride``-th record.
+
+        The transverse polarization components carry the spatial overlap S
+        of the two basis wavefunctions including their opposite momentum
+        boosts; S vanishes only at zero spin-orbit strength, where
+        Px = Py = 0 exactly.  The position operator is spin diagonal and the
+        two basis states carry orthogonal spins, so only the diagonal
+        moments enter <x>.
+        """
         c1, c2 = self.states.T
+        p1, p2 = np.abs(c1) ** 2, np.abs(c2) ** 2
+        cross = c1 * np.conj(c2) * self.me.S
+        xev = p1 * self.me.x_diag_n + p2 * self.me.x_diag_l
         columns = {
             "t": self.times, "re_c1": c1.real, "im_c1": c1.imag,
-            "re_c2": c2.real, "im_c2": c2.imag, "Px": px, "Py": py, "Pz": pz,
+            "re_c2": c2.real, "im_c2": c2.imag,
+            "Px": 2.0 * np.real(cross), "Py": -2.0 * np.imag(cross), "Pz": p1 - p2,
             "x_expect": xev,
             "x_expect_over_lc": xev / characteristic_length(self.spec.morse),
-            "fidelity": np.abs(c2) ** 2,
+            "fidelity": p2,
         }
         return {name: col[::stride] for name, col in columns.items()}
 
@@ -293,31 +301,4 @@ def propagate_nonlinear(spec: TransferSpec, me: MatrixElements,
     """Mean-field two-level propagation; the real diagonal nonlinearity
     preserves the norm, so the same drift check applies."""
     return _propagate(spec, me, schedule, settings, initial, nonlinear=True)
-
-
-def spin_polarization(traj: Trajectory, me: MatrixElements):
-    """Polarization components (Px, Py, Pz) along the trajectory.
-
-    The transverse components carry the spatial overlap S of the two basis
-    wavefunctions including their opposite momentum boosts; S vanishes only
-    at zero spin-orbit strength, where Px = Py = 0 exactly.
-    """
-    c1 = traj.states[:, 0]
-    c2 = traj.states[:, 1]
-    cross = c1 * np.conj(c2) * me.S
-    px = 2.0 * np.real(cross)
-    py = -2.0 * np.imag(cross)
-    pz = np.abs(c1) ** 2 - np.abs(c2) ** 2
-    return px, py, pz
-
-
-def expectation_x(traj: Trajectory, me: MatrixElements):
-    """Coordinate expectation value along the trajectory.
-
-    The position operator is spin diagonal and the two basis states carry
-    orthogonal spins, so only the diagonal moments contribute.
-    """
-    p1 = np.abs(traj.states[:, 0]) ** 2
-    p2 = np.abs(traj.states[:, 1]) ** 2
-    return p1 * me.x_diag_n + p2 * me.x_diag_l
 

@@ -87,9 +87,8 @@ class MatrixElements:
     ``K``  the same overlap with one momentum operator inserted, which
     follows from G (see :func:`matrix_elements`),
     ``M_coupling = alpha^2 G + alpha K`` the net coupling when the
-    spin-orbit field is tilted, and ``S = conj(G)`` the overlap entering
-    the transverse polarization components.  ``phi_G``/``phi_M`` are the
-    phases of G and M_coupling.
+    spin-orbit field is tilted, and :attr:`S` the overlap entering the
+    transverse polarization components.
     """
 
     n: int
@@ -98,11 +97,14 @@ class MatrixElements:
     G: complex
     K: complex
     M_coupling: complex
-    S: complex
-    phi_G: float
-    phi_M: float
     x_diag_n: float
     x_diag_l: float
+
+    @property
+    def S(self) -> complex:
+        """The reversed-boost overlap; the real eigenfunctions make it the
+        complex conjugate of G."""
+        return np.conj(self.G)
 
 
 def potential(x, spec: MorseSpec):
@@ -218,9 +220,7 @@ def matrix_elements(n: int, l: int, alpha: float, spec: MorseSpec) -> MatrixElem
     G is a closed-form Gamma-function sum, and K follows from it:
     [H0, e^{2i alpha x}] = e^{2i alpha x} (2 alpha k + 2 alpha^2) gives
     K = G (E_n - E_l - 2 alpha^2) / (2 alpha), and at alpha = 0,
-    [H0, x] = -ik gives K = i (E_n - E_l) <n|x|l>.  The real
-    eigenfunctions make S (the reversed-boost overlap) the complex
-    conjugate of G.
+    [H0, x] = -ik gives K = i (E_n - E_l) <n|x|l>.
     """
     if not math.isfinite(alpha):
         raise DomainError(f"spin-orbit strength alpha must be finite, got {alpha}")
@@ -238,9 +238,6 @@ def matrix_elements(n: int, l: int, alpha: float, spec: MorseSpec) -> MatrixElem
         G=g,
         K=k,
         M_coupling=m,
-        S=np.conj(g),
-        phi_G=math.atan2(g.imag, g.real),
-        phi_M=math.atan2(m.imag, m.real),
         x_diag_n=position_moment(n, spec),
         x_diag_l=position_moment(l, spec),
     )

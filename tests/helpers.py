@@ -12,11 +12,8 @@ def constant_schedule(spec, coupling, amp, gap, n=64):
         times=times,
         channel_a=np.full(n, amp),
         channel_b=np.full(n, gap),
-        label_a="Omega" if spec.scheme == "raman" else "theta1",
-        label_b="Delta" if spec.scheme == "raman" else "beta",
         spec=spec,
         coupling=coupling,
-        phi=0.0,
         fn_a=lambda t: np.full_like(np.asarray(t, dtype=float), amp),
         fn_b=lambda t: np.full_like(np.asarray(t, dtype=float), gap),
     )
@@ -30,11 +27,8 @@ def time_reversed(schedule):
         times=schedule.times.copy(),
         channel_a=schedule.channel_a[::-1].copy(),
         channel_b=schedule.channel_b[::-1].copy(),
-        label_a=schedule.label_a,
-        label_b=schedule.label_b,
         spec=schedule.spec,
         coupling=schedule.coupling,
-        phi=schedule.phi,
         fn_a=lambda t: fn_a(tf - np.asarray(t)),
         fn_b=lambda t: fn_b(tf - np.asarray(t)),
     )

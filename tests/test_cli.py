@@ -356,6 +356,29 @@ class TestCommands:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 
+    def test_validate_fast_labels_skipped_criteria(self, ctx, monkeypatch, tmp_path):
+        from socmorse import acceptance
+
+        monkeypatch.setattr(acceptance, "AcceptanceContext", lambda: ctx)
+        path = tmp_path / "validate.json"
+        assert main(["validate", "--fast", "--json", str(path)]) == EXIT_OK
+        results = json.loads(path.read_text())
+        labels = [
+            "1. bound-state structure",
+            "2. interaction overlap constants",
+            "3. design endpoint values",
+            "4. detuning independent of spin-orbit strength",
+            "5. two-level transfer and invariant tracking",
+            "6. full-grid validation of the Raman design",
+            "7. grid observables",
+            "8. mean-field compensation (two-level)",
+            "8g. mean-field compensation (grid)",
+            "9. robustness scans",
+            "10. numerical hygiene",
+        ]
+        assert [r["label"] for r in results] == labels
+        assert [r["label"] for r in results if r["skipped"]] == [labels[i] for i in (5, 6, 8, 10)]
+
     def test_inspect_runs(self, capsys, tmp_path):
         code = main(["inspect", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
@@ -399,9 +422,22 @@ _NUMERIC_KEYS = [
 ]
 
 
+# Sizes that would need terabytes, or overflow the range arithmetic: each is
+# rejected by the module limit of its owner before anything is allocated.
+_OVERSIZED = [
+    (_GRID, "grid.points = 17592186044416"),
+    (["design"], "design.sample_count = 1000000000000"),
+    (_TWOLEVEL, "design.sample_count = 1000000000000"),
+    (_SYSTEMATIC, "noise.lambda = 0:inf:1"),
+    (_SYSTEMATIC, "noise.lambda = 0:1e300:1e-300"),
+    (_SYSTEMATIC, "noise.lambda = 0:1e18:1"),
+    (_NOISE, "noise.trajectories = 1000000000000"),
+]
+
+
 class TestNumericKeys:
     """No numeric value escapes ``main`` as an exception: a non-finite one
-    is always rejected with exit 1."""
+    is always rejected with exit 1, and so is a size past its limit."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
     @pytest.mark.parametrize("key, command, settings, code_at_1e308", _NUMERIC_KEYS,
@@ -418,6 +454,16 @@ class TestNumericKeys:
         assert err.startswith("error:" if code == EXIT_CONFIG else ("numerical", "scan failed"))
         if code == EXIT_CONFIG:  # a rejected value leaves no output directory
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, setting", _OVERSIZED,
+                             ids=[row[1] for row in _OVERSIZED])
+    def test_oversized_value_through_main(self, tmp_path, capsys, command, setting):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"transfer.scheme = so_direction\n{setting}\n")
+        code = main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
 
 class TestReproduce:

@@ -7,13 +7,13 @@ import pytest
 from socmorse.dynamics_grid import (
     SpatialGrid,
     _cis,
+    _observables as grid_observables,
     SpinorField,
     density_profile,
     evolve,
     init_basis_state,
     target_state,
 )
-from socmorse.dynamics_two_level import expectation_x, spin_polarization
 from socmorse.errors import DomainError
 from socmorse.morse import position_moment
 from socmorse.pulse_design import design_scheme2
@@ -25,6 +25,10 @@ from helpers import constant_schedule
 def observables(fld, ctx):
     """The reference observables of a field against the canonical target."""
     return _observables(fld.up, fld.down, target_state(ctx.grid, ctx.spec_raman), ctx.grid)
+
+
+def stacked(fld):
+    return np.array([fld.up, fld.down])
 
 
 class TestGridGeometry:
@@ -52,12 +56,13 @@ class TestGridGeometry:
 class TestInitialStates:
     def test_normalized(self, ctx):
         fld = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
-        assert fld.norm() == pytest.approx(1.0, abs=1e-10)
+        norm = grid_observables(stacked(fld), stacked(fld), ctx.grid)[0]
+        assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_spin_components_disjoint(self, ctx):
         up0 = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
         dn1 = init_basis_state(ctx.grid, ctx.morse, 1, "down", 1.6)
-        assert up0.overlap(dn1) == 0.0
+        assert grid_observables(stacked(up0), stacked(dn1), ctx.grid)[-1] == 0.0
 
     def test_grid_moment_matches_quadrature(self, ctx):
         fld = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
@@ -136,8 +141,9 @@ class TestEvolution:
         sched = constant_schedule(ctx.spec_raman, ctx.me.G, 0.0, 0.0)
         fld = init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)
         final, rep = evolve(fld, ctx.spec_raman, sched, dt=1e-3)
-        overlap = abs(final.overlap(init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6)))
-        assert overlap == pytest.approx(1.0, abs=1e-6)
+        start = stacked(init_basis_state(ctx.grid, ctx.morse, 0, "up", 1.6))
+        fidelity = grid_observables(stacked(final), start, ctx.grid)[-1]
+        assert np.sqrt(fidelity) == pytest.approx(1.0, abs=1e-6)  # |overlap|
 
     def test_designed_transfer_headline(self, ctx):
         assert ctx.grid_run_small_gap[1].final_fidelity == pytest.approx(0.9966, abs=0.003)
@@ -266,13 +272,13 @@ class TestMeanFieldGrid:
 class TestCrossModelConsistency:
     def test_grid_and_reduced_coordinate_endpoints(self, ctx):
         rep = ctx.grid_run_small_gap[1]
-        xev = expectation_x(ctx.twolevel_raman, ctx.me)
+        xev = ctx.twolevel_raman.observables()["x_expect"]
         assert rep.x_expect[0] == pytest.approx(xev[0], abs=1e-6)
         assert rep.x_expect[-1] == pytest.approx(xev[-1], abs=0.02)
 
     def test_grid_and_reduced_polarization_endpoints(self, ctx):
         rep = ctx.grid_run_small_gap[1]
-        _, _, pz = spin_polarization(ctx.twolevel_raman, ctx.me)
+        pz = ctx.twolevel_raman.observables()["Pz"]
         assert rep.Pz[0] == pytest.approx(pz[0], abs=1e-9)
         assert rep.Pz[-1] == pytest.approx(pz[-1], abs=0.01)
 

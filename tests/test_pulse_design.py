@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -311,11 +312,8 @@ class TestInvariantResidual:
             times=sched1.times,
             channel_a=sched1.channel_a,
             channel_b=sched1.channel_b + 0.5,
-            label_a=sched1.label_a,
-            label_b=sched1.label_b,
             spec=sched1.spec,
             coupling=sched1.coupling,
-            phi=sched1.phi,
             fn_a=sched1.fn_a,
             fn_b=lambda t: sched1.fn_b(t) + 0.5,
         )
@@ -343,6 +341,15 @@ class TestScheduleObject:
         assert again.label_a == "Omega"
         assert again.spec == sched1.spec
         assert again.coupling == pytest.approx(sched1.coupling)
+        meta = json.loads(open(sidecar).read())
+        assert (meta["label_a"], meta["label_b"]) == ("Omega", "Delta")
+        assert again.phi == meta["phi"] == sched1.phi
+
+    def test_labels_and_phase_follow_scheme_and_coupling(self, sched1, sched2, me):
+        assert (sched1.label_a, sched1.label_b) == ("Omega", "Delta")
+        assert (sched2.label_a, sched2.label_b) == ("theta1", "beta")
+        assert sched1.phi == math.atan2(me.G.imag, me.G.real)
+        assert sched2.phi == math.atan2(me.M_coupling.imag, me.M_coupling.real)
 
     def test_spline_fallback_matches_analytic(self, sched1, tmp_path):
         csv_path, _ = sched1.to_csv(tmp_path / "s.csv")
@@ -383,8 +390,7 @@ class TestScheduleObject:
                 times=np.array([0.0, 1.0]),
                 channel_a=np.array([0.0, np.inf]),
                 channel_b=np.array([0.0, 0.0]),
-                label_a="a", label_b="b",
-                spec=spec1, coupling=me.G, phi=0.0,
+                spec=spec1, coupling=me.G,
             )
 
     def test_rejects_length_mismatch(self, spec1, me):
@@ -393,6 +399,5 @@ class TestScheduleObject:
                 times=np.array([0.0, 1.0, 2.0]),
                 channel_a=np.zeros(2),
                 channel_b=np.zeros(3),
-                label_a="a", label_b="b",
-                spec=spec1, coupling=me.G, phi=0.0,
+                spec=spec1, coupling=me.G,
             )

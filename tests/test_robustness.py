@@ -14,6 +14,7 @@ from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.numerics import OdeSettings
 from socmorse.pulse_design import PulseSchedule
 from socmorse.robustness import (
+    MAX_TRAJECTORIES,
     bloch_propagate,
     scan_noise,
     scan_systematic,
@@ -408,6 +409,11 @@ class TestStochasticOracle:
     def test_minimum_ensemble(self, ctx):
         with pytest.raises(DomainError):
             stochastic_oracle(ctx.spec_tilt, ctx.sched_tilt, 0.5, trajectories=50)
+
+    def test_maximum_ensemble(self, ctx):
+        with pytest.raises(DomainError, match="trajectories"):
+            stochastic_oracle(ctx.spec_tilt, ctx.sched_tilt, 0.5,
+                              trajectories=MAX_TRAJECTORIES + 1)
 
 
 @settings(max_examples=20, deadline=None)
