@@ -7,14 +7,15 @@ target state with spin down); the Hamiltonian comes from the schedule's
 form.  The mean-field variant adds the state-dependent diagonal and remains
 norm preserving because that diagonal is real.
 
-:func:`rk4` steps a tuple of Python scalars (one run, the cheapest form
-for a single state) or one stacked array whose columns are scan points,
-stepped together, with the drive tabulated once on the half-step node grid
-of :func:`half_step_nodes`.
-A linear model that needs only its final state (the non-interacting scans)
-takes :func:`rk4_linear`: the same RK4 step written as a transfer matrix,
-tabulated for blocks of steps and composed by pairwise products instead of
-a step loop.
+The drive is tabulated once on the half-step node grid of
+:func:`half_step_nodes`.  Every linear run, whether it records a
+trajectory or keeps only its final state, takes :func:`rk4_linear`: the
+same RK4 step written as a transfer matrix, tabulated for blocks of steps,
+composed by pairwise products and applied to the state by a prefix scan
+instead of a step loop.  The mean-field runs take the :func:`rk4` step
+loop, on a tuple of Python scalars (one run, the cheapest form for a single
+state) or on one stacked array whose columns are scan points, stepped
+together.
 """
 
 from __future__ import annotations
@@ -158,23 +159,40 @@ def _identity_plus(s, m):
             for r, row in enumerate(m)]
 
 
-def _ordered_product(p):
-    """p[m-1] @ ... @ p[1] @ p[0] of a stack of m matrices, by pairwise
-    products; an odd last matrix is carried to the next level."""
+def _pair_level(p):
+    """The next level of the pairwise reduction of a stack of m matrices:
+    the products p[2j+1] @ p[2j], with an odd last matrix carried up."""
     m = len(p[0][0])
-    while m > 1:
-        pairs = _matmul([[e[1:m:2] for e in row] for row in p],
-                        [[e[0:m - 1:2] for e in row] for row in p])
-        if m % 2:
-            pairs = [[np.concatenate((e, t[m - 1:])) for e, t in zip(prow, row)]
-                     for prow, row in zip(pairs, p)]
-        p, m = pairs, (m + 1) // 2
-    return p
+    pairs = _matmul([[e[1:m:2] for e in row] for row in p],
+                    [[e[0:m - 1:2] for e in row] for row in p])
+    if m % 2:
+        pairs = [[np.concatenate((e, t[m - 1:])) for e, t in zip(prow, row)]
+                 for prow, row in zip(pairs, p)]
+    return pairs
 
 
-def rk4_linear(matrix, state, nsteps, h):
-    """:func:`rk4` with ``stride=None`` for a linear y' = A(t) y, without
-    a step loop.
+def _prefix_states(levels, y):
+    """The state before each matrix of ``levels[0]``, from the start state y
+    (a column, each entry with a leading axis of length 1), by walking the
+    saved levels of :func:`_pair_level` down on vectors: the state before
+    element 2j of a level is the one before element j of the level above,
+    and the state before element 2j + 1 is element 2j applied to it."""
+    for p in reversed(levels[:-1]):
+        m = len(p[0][0])
+        half = m // 2
+        odd = _matmul([[e[0:2 * half:2] for e in row] for row in p],
+                      [[c[:half]] for c, in y])
+        nxt = []
+        for (c,), (o,) in zip(y, odd):
+            out = np.empty((m,) + o.shape[1:], dtype=np.result_type(c, o))
+            out[0::2], out[1::2] = c, o
+            nxt.append([out])
+        y = nxt
+    return y
+
+
+def rk4_linear(matrix, state, nsteps, h, stride=None):
+    """:func:`rk4` for a linear y' = A(t) y, without a step loop.
 
     ``matrix[r][c]`` holds A's (r, c) entry on the half-step nodes, with
     shape ``(nodes,)`` or ``(nodes, L)`` for L columns stepped at once.
@@ -182,18 +200,29 @@ def rk4_linear(matrix, state, nsteps, h):
     K1 = A0, K2 = A1 (I + h/2 K1), K3 = A1 (I + h/2 K2),
     K4 = A2 (I + h K3) and P_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where
     A0, A1, A2 sit on nodes 2i, 2i+1, 2i+2.  The P_i are tabulated entry
-    by entry for blocks of ``_BLOCK`` steps, each block is reduced by
-    pairwise products and the blocks are multiplied in step order.  Only
-    rounding differs from the step loop.  A column that overflows comes
-    back non-finite without touching the others.  Returns ``rk4``'s
-    ``(steps, states)``: the first and the last step.
+    by entry for blocks of ``_BLOCK`` steps.  Each block is reduced by
+    pairwise products (the up-sweep) and its product carries the state to
+    the next block; a block that records a state past its start also walks
+    the saved products down on its start state (the down-sweep of a
+    work-efficient scan), so every record is a prefix product
+    P_k ... P_0 y0.  Only rounding differs from the step loop.  A column
+    that overflows comes back non-finite without touching the others.
+    Returns ``rk4``'s steps, for the same ``stride``, and the states as one
+    array whose rows unpack like ``rk4``'s state tuples: shape
+    ``(records, n)``, or ``(records, n, L)`` with L columns.
     """
     tables = [[np.asarray(e) for e in row] for row in matrix]
-    if any(t.ndim == 2 for row in tables for t in row):
+    y = [np.asarray(c) for c in state]
+    if any(t.ndim == 2 for row in tables for t in row) or any(c.ndim for c in y):
         tables = [[t.reshape(len(t), -1) for t in row] for row in tables]
+        y = [c.reshape(-1) for c in y]
+    width = np.broadcast_shapes(*(t.shape[1:] for row in tables for t in row),
+                                *(c.shape for c in y))
+    y = [[np.broadcast_to(c, width)[None]] for c in y]
     n = len(tables)
     half, sixth = 0.5 * h, h / 6.0
-    total = None
+    stride = stride or nsteps
+    steps, records = [], []
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
         a0, a1, a2 = ([[t[2 * start + j:2 * stop + j:2] for t in row] for row in tables]
@@ -202,46 +231,54 @@ def rk4_linear(matrix, state, nsteps, h):
         k2 = _matmul(a1, _identity_plus(half, k1))
         k3 = _matmul(a1, _identity_plus(half, k2))
         k4 = _matmul(a2, _identity_plus(h, k3))
-        block = _ordered_product(_identity_plus(sixth, [
+        picks = range(start + -start % stride, stop, stride)  # steps recorded here
+        sweep = bool(picks) and picks[-1] > start  # a record past the block start
+        levels = [_identity_plus(sixth, [
             [k1[r][c] + 2.0 * (k2[r][c] + k3[r][c]) + k4[r][c] for c in range(n)]
-            for r in range(n)]))
-        total = block if total is None else _matmul(block, total)
-    final = tuple(sum(total[r][c][0] * state[c] for c in range(n)) for r in range(n))
-    return [0, nsteps], [tuple(state), final]
+            for r in range(n)])]
+        while len(levels[-1][0][0]) > 1:
+            top = _pair_level(levels[-1])
+            levels = levels + [top] if sweep else [top]
+        if picks:
+            before = _prefix_states(levels, y) if sweep else y
+            records.append(np.stack([c[picks.start - start::stride] for c, in before], axis=1))
+            steps.extend(picks)
+        y = _matmul(levels[-1], y)
+    steps.append(nsteps)
+    records.append(np.stack([c for c, in y], axis=1))
+    return steps, np.concatenate(records)
 
 
 def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stride=1):
-    """Amplitudes under H = [[z/2 + n1, od], [conj(od), -z/2 + n2]] by :func:`rk4`.
+    """Amplitudes under H = [[z/2 + n1, od], [conj(od), -z/2 + n2]].
 
     ``z`` and ``od`` hold the drive on the half-step nodes, each with shape
-    ``(nodes,)`` or ``(nodes, L)`` for L runs stepped at once.  With
+    ``(nodes,)`` or ``(nodes, L)`` for L runs stepped at once.  A linear run
+    (``g`` None) takes :func:`rk4_linear`, whatever the stride.  With
     mean-field constants ``g = (g11, g22, g12, g21)`` the diagonal adds
-    n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2 from the populations p.
-    A linear run that keeps only its ends (``g`` None, ``stride=None``)
-    takes :func:`rk4_linear` instead of the step loop.  One run steps
-    Python scalars; L runs step one stacked ``(2, L)`` state Y with the
-    drive folded into per-node tables, dY = (D_j + G p) Y + O_j Y[::-1].
+    n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2 from the populations p,
+    and the run takes the :func:`rk4` step loop: one run steps Python
+    scalars; L runs step one stacked ``(2, L)`` state Y with the drive
+    folded into per-node tables, dY = (D_j + G p) Y + O_j Y[::-1].
     Returns ``rk4``'s ``(steps, states)`` with ``(c1, c2)`` rows; nothing
     is checked here.
     """
     z, od = np.asarray(z), np.asarray(od)
-    if g is None and stride is None:
+    if g is None:
         hz = 0.5 * z
         odc = np.conj(od)
         with np.errstate(over="ignore", invalid="ignore"):
             return rk4_linear(((-1j * hz, -1j * od), (-1j * odc, 1j * hz)),
-                              initial, nsteps, h)
+                              initial, nsteps, h, stride)
+    g11, g22, g12, g21 = g
     if z.ndim == 1 and od.ndim == 1:
         hz, od, odc = (t.tolist() for t in (0.5 * z, od, np.conj(od)))
-        g11, g22, g12, g21 = g or (0.0,) * 4
 
         def deriv(j, a1, a2):
-            h11, h22 = hz[j], -hz[j]
-            if g:
-                p1 = a1.real * a1.real + a1.imag * a1.imag
-                p2 = a2.real * a2.real + a2.imag * a2.imag
-                h11 = h11 + (g11 * p1 + g12 * p2)
-                h22 = h22 + (g21 * p1 + g22 * p2)
+            p1 = a1.real * a1.real + a1.imag * a1.imag
+            p2 = a2.real * a2.real + a2.imag * a2.imag
+            h11 = hz[j] + (g11 * p1 + g12 * p2)
+            h22 = -hz[j] + (g21 * p1 + g22 * p2)
             return -1j * (h11 * a1 + od[j] * a2), -1j * (odc[j] * a1 + h22 * a2)
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -252,13 +289,10 @@ def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stri
     off = -1j * np.stack((od, od.conj()), axis=1)
     start = np.empty((2, max(hz.shape[1], od.shape[1])), dtype=complex)
     start[0], start[1] = initial
-    if g:
-        g11, g22, g12, g21 = g
-        coupling = -1j * np.array([[g11, g12], [g21, g22]])
+    coupling = -1j * np.array([[g11, g12], [g21, g22]])
 
     def deriv(j, y):
-        d = diag[j] + coupling @ (y * y.conj()).real if g else diag[j]
-        return (d * y + off[j] * y[::-1],)
+        return ((diag[j] + coupling @ (y * y.conj()).real) * y + off[j] * y[::-1],)
 
     with np.errstate(over="ignore", invalid="ignore"):
         steps, states = rk4(deriv, (start,), nsteps, h, stride)
@@ -270,7 +304,7 @@ def _propagate(spec, me, schedule, settings, initial, nonlinear):
     z, od = schedule.reduced_terms(nodes)
     _, states = step_amplitudes(z, od, nsteps, h, spec.g_effective if nonlinear else None,
                                 (complex(initial[0]), complex(initial[1])))
-    states = np.array(states, dtype=complex)
+    states = np.asarray(states, dtype=complex)
     bad = ~np.all(np.isfinite(states.view(float)), axis=1)
     if bad.any():
         t = int(np.argmax(bad)) * h

@@ -7,12 +7,14 @@ an ensemble of stochastic trajectories with per-step phase kicks serves
 as its independent oracle.
 
 Each scan is one batched call over its points, and a single Bloch run is
-a batch of one.  Without interactions the model is linear and a scan
-needs only the final state, so the RK4 runs as a product of per-step
-transfer matrices (:func:`~socmorse.dynamics_two_level.rk4_linear`), not
-as a step loop.  The mean-field scans keep the step loop, but each step
-advances one stacked state, ``(2, L)`` amplitudes or ``(3, L)`` Bloch
-vectors for L points, with the drive tabulated per node before the loop.
+a batch of one.  Without interactions the model is linear, so every run,
+recorded or not, takes the RK4 as products of per-step transfer matrices
+(:func:`~socmorse.dynamics_two_level.rk4_linear`), not as a step loop.
+The mean-field runs keep the step loop, but each step advances one
+stacked state, ``(2, L)`` amplitudes or ``(3, L)`` Bloch vectors for L
+points, with the drive tabulated per node before the loop.  A batched scan
+holds its drive as ``(nodes, L)`` tables, so its points times nodes are
+bounded by :data:`MAX_SCAN_NODES`.
 The Zeeman term of every reduced-model scan comes from
 :meth:`~socmorse.pulse_design.PulseSchedule.reduced_terms`.
 """
@@ -42,9 +44,17 @@ MIN_TRAJECTORIES = 100
 # peak resident memory on a 2-core Xeon, at any step count.
 MAX_TRAJECTORIES = 10**4
 
+# Most scan points times half-step nodes one batched reduced-model scan may
+# tabulate: its per-node tables took at most 72 bytes per point and node
+# (the mean-field systematic scan at 100 and 200 points of 2 * 10**4 + 1
+# nodes, peak resident memory on a 2-core Xeon), so this caps a scan near
+# 1.7 GiB and still admits 1000 points at the default step.
+MAX_SCAN_NODES = 25 * 10**6
+
 __all__ = [
     "MIN_TRAJECTORIES",
     "MAX_TRAJECTORIES",
+    "MAX_SCAN_NODES",
     "ScanResult",
     "bloch_propagate",
     "scan_systematic",
@@ -105,9 +115,9 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     noise_strength^2 D(t)^2 / 2, where D is the Zeeman amplitude.  Returns
     (times, states) with rows (u, v, w), recorded every ``record_stride``
     steps and at the end (only at the ends with ``record_stride=None``).
-    Without the w-dependent pull (g_s total zero) and with
-    ``record_stride=None`` the model is linear and runs by
-    :func:`~socmorse.dynamics_two_level.rk4_linear`; otherwise by ``rk4``.
+    Without the w-dependent pull (g_s total zero) the model is linear and
+    runs by :func:`~socmorse.dynamics_two_level.rk4_linear`, records or
+    not; otherwise by ``rk4``.
 
     Every run steps one ``(3, L)`` state, one column per noise strength,
     with the shared drive as a per-node 3x3 table.  An array of L strengths
@@ -132,9 +142,9 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     x, y, z_eff = 2.0 * od.real, 2.0 * od.imag, z + gd_tot
     zero = np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        if record_stride is None and gs_tot == 0.0:
+        if gs_tot == 0.0:
             steps, states = rk4_linear(((-damp, z_eff, -y), (-z_eff, -damp, x),
-                                        (y, -x, zero)), start, nsteps, h)
+                                        (y, -x, zero)), start, nsteps, h, record_stride)
         else:
             drive = np.stack((zero, z_eff, -y, -z_eff, zero, x, y, -x, zero),
                              axis=1).reshape(-1, 3, 3)
@@ -154,6 +164,17 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
             raise NumericalFailureError(f"non-finite Bloch vector by t={spec.t_f:.6g}",
                                         time=spec.t_f)
     return np.array(steps) * h, states
+
+
+def _scan_nodes(t_f, step, values):
+    """:func:`~socmorse.dynamics_two_level.half_step_nodes` for a batched
+    scan over ``values``; raises :class:`DomainError` when the points times
+    nodes exceed :data:`MAX_SCAN_NODES`, before any table is allocated."""
+    nsteps, h, nodes = half_step_nodes(t_f, step)
+    if np.size(values) * len(nodes) > MAX_SCAN_NODES:
+        raise DomainError(f"{np.size(values)} scan points of {len(nodes)} half-step nodes "
+                          f"each exceed the {MAX_SCAN_NODES:.3g} point-node limit")
+    return nsteps, h, nodes
 
 
 def _batched_scan(parameter, values, spec, run):
@@ -191,9 +212,10 @@ def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
     table per point, Z(t) + lambda b(t) with Z from the schedule's
     :meth:`~socmorse.pulse_design.PulseSchedule.reduced_terms`; a point
     whose final amplitudes are non-finite or whose norm drifted by more
-    than 1e-6 is recorded as a failure.
+    than 1e-6 is recorded as a failure.  An invalid step, or more points
+    times nodes than :data:`MAX_SCAN_NODES`, raises instead.
     """
-    nsteps, h, nodes = half_step_nodes(spec.t_f, settings.step)  # raises here, not per point
+    nsteps, h, nodes = _scan_nodes(spec.t_f, settings.step, lambdas)  # raises here, not per point
 
     def run(lambdas):
         z, od = schedule.reduced_terms(nodes)
@@ -248,9 +270,10 @@ def scan_noise(spec: TransferSpec, schedule: PulseSchedule, lambdas_prime,
     """Master-equation fidelity (1 - w)/2 at t_f for each noise strength,
     all strengths in one batched :func:`bloch_propagate` call; a point whose
     final Bloch vector is non-finite or longer than 1 + 1e-6 is recorded as
-    a failure.  An invalid ``dt`` raises instead."""
+    a failure.  An invalid ``dt``, or more points times nodes than
+    :data:`MAX_SCAN_NODES`, raises instead."""
     _require_tilt_schedule(schedule)
-    half_step_nodes(spec.t_f, dt)  # an invalid dt raises here, not per point
+    _scan_nodes(spec.t_f, dt, lambdas_prime)  # raises here, not per point
 
     def run(strengths):
         _, states = bloch_propagate(spec, schedule, strengths, dt=dt, record_stride=None)

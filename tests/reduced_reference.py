@@ -71,9 +71,10 @@ class OdeSettings:
 
 
 def _rk4_span(rhs, y, t0, t1, step):
-    """March y from t0 to t1 with fixed RK4 substeps of size <= step."""
+    """March y from t0 to t1 with fixed RK4 substeps of size <= step; a span
+    longer than ``step`` only by rounding (1e-9 relative) takes one substep."""
     span = t1 - t0
-    m = max(1, int(math.ceil(span / step - 1e-12)))
+    m = max(1, int(math.ceil(span / step * (1.0 - 1e-9))))
     h = span / m
     t = t0
     for _ in range(m):

@@ -175,6 +175,11 @@ class TestCommands:
         (["simulate", "--engine", "twolevel"], "transfer.t_f = 1e7"),
         (["inspect"], "transfer.depth_A = 1e300"),  # eta above MAX_ETA
         (["design"], "transfer.depth_A = 1e300"),
+        # 1000 points of 2 * 10**5 + 1 half-step nodes: above MAX_SCAN_NODES
+        (["scan", "--kind", "systematic"],
+         "transfer.scheme = so_direction\nnoise.lambda = -0.5:0.499:0.001\ngrid.dt = 1e-4"),
+        (["scan", "--kind", "noise"],
+         "transfer.scheme = so_direction\nnoise.lambda_prime = 0:0.999:0.001\ngrid.dt = 1e-4"),
     ])
     def test_config_domain_error_exits_config(self, tmp_path, capsys, command, setting):
         cfg = tmp_path / "bad.cfg"

@@ -143,6 +143,18 @@ class TestSu2Exp:
 
 
 class TestOdePropagate:
+    def test_natural_grid_takes_one_substep_per_step(self):
+        # the spans of linspace(0, 10, 10001) miss 1e-3 by rounding only, so
+        # every one takes a single RK4 step of four right-hand-side calls
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        ode_propagate(rhs, [1.0], 0.0, 10.0, OdeSettings(step=1e-3))
+        assert len(calls) == 40_000
+
     def test_exponential_decay(self):
         times, states = ode_propagate(lambda t, y: -y, [1.0], 0.0, 1.0)
         assert states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-8)

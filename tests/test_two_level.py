@@ -101,21 +101,20 @@ class TestPropagate:
 
     def test_diagonal_shift_is_gauge(self, ctx):
         # adding a constant to both diagonals changes no observable.  The
-        # reference Hamiltonian is tabulated once on the quarter-step grid,
-        # which holds every time the reference RK4 evaluates: rounding makes
-        # it split some steps into two substeps.
+        # reference Hamiltonian is tabulated once on the half-step grid, which
+        # holds every time the reference RK4 evaluates: one substep per step.
         shift = 5.0
         sched = ctx.sched_raman
         spec, me = ctx.spec_raman, ctx.me
-        quarters = 4 * int(round(spec.t_f / 1e-3))
-        a, b = reference._channel_nodes(sched, spec.t_f, quarters // 2)
+        halves = 2 * int(round(spec.t_f / 1e-3))
+        a, b = reference._channel_nodes(sched, spec.t_f, halves // 2)
         xy = a * reference._offdiag_factor(spec, me.G)
         h = reference.TwoLevelHamiltonian(Z=spec.energy_n - spec.energy_l + b,
                                           X=xy.real, Y=xy.imag).matrix()
         h = h.transpose(2, 0, 1) + shift * np.eye(2)
 
         def rhs(t, y):
-            return -1j * (h[int(round(t * quarters / spec.t_f))] @ y)
+            return -1j * (h[int(round(t * halves / spec.t_f))] @ y)
 
         _, states = ode_propagate(rhs, [1.0 + 0j, 0.0 + 0j], 0.0, spec.t_f,
                                   reference.OdeSettings(step=1e-3))
@@ -190,7 +189,7 @@ class TestRk4Linear:
         return ((-damp, z, -y), (-z, -damp, x), (y, -x, np.zeros_like(x)))
 
     @staticmethod
-    def _both(matrix, nsteps):
+    def _both(matrix, nsteps, stride=None):
         n = len(matrix)
         start = tuple(np.full(TestRk4Linear.COLUMNS, (r + 1.0) / n) for r in range(n))
         tables = [[np.asarray(e) for e in row] for row in matrix]
@@ -199,17 +198,27 @@ class TestRk4Linear:
             return tuple(sum(tables[r][c][j] * y[c] for c in range(n)) for r in range(n))
 
         h = 1.0 / nsteps
-        want_steps, want = rk4(deriv, start, nsteps, h, None)
-        got_steps, got = rk4_linear(matrix, start, nsteps, h)
+        want_steps, want = rk4(deriv, start, nsteps, h, stride)
+        got_steps, got = rk4_linear(matrix, start, nsteps, h, stride)
         assert got_steps == want_steps
         assert np.array_equal(np.array(got[0]), np.array(want[0]))
-        return np.array(got[-1]), np.array(want[-1])
+        return np.array(got), np.array(want)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("nsteps", [1, 2, 7, 2 * _BLOCK + 37])
     def test_matches_step_loop(self, n, nsteps):
         got, want = self._both(self._generator(n, nsteps, seed=nsteps + n), nsteps)
+        got, want = got[-1], want[-1]
         assert np.max(np.abs(want)) >= 0.1
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("nsteps", [1, 2, 7, 2 * _BLOCK + 37])
+    @pytest.mark.parametrize("stride", [1, 7, "nsteps"])  # None: test_matches_step_loop
+    def test_records_match_step_loop(self, n, nsteps, stride):
+        stride = nsteps if stride == "nsteps" else stride
+        got, want = self._both(self._generator(n, nsteps, seed=nsteps + n), nsteps, stride)
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -217,13 +226,16 @@ class TestRk4Linear:
     def test_overflowing_column_stays_apart(self, n):
         nsteps = _BLOCK + 5
         matrix = self._generator(n, nsteps, seed=11)
-        matrix[0][1][:, 1] = 1e300  # the generator of column 1 overflows
+        # the generator of column 1 overflows from the middle of step 300 on
+        matrix[0][1][2 * 300 + 1:, 1] = 1e300
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = self._both(matrix, nsteps)
-        assert not np.all(np.isfinite(got[:, 1]))
+            got, want = self._both(matrix, nsteps, stride=1)
+        bad = ~np.all(np.isfinite(got[:, :, 1]), axis=1)
+        assert np.array_equal(bad, ~np.all(np.isfinite(want[:, :, 1]), axis=1))
+        assert int(np.argmax(bad)) == 301 and bad[-1]
         keep = [0, 2]
-        assert np.all(np.isfinite(got[:, keep]))
-        assert np.max(np.abs(got[:, keep] - want[:, keep])) <= 1e-13
+        assert np.all(np.isfinite(got[:, :, keep]))
+        assert np.max(np.abs(got[:, :, keep] - want[:, :, keep])) <= 1e-13
 
 
 class TestStackedAmplitudes:
