@@ -54,7 +54,7 @@ from scipy import fft as sp_fft
 from .dynamics_two_level import half_step_nodes
 from .errors import DomainError, NumericalFailureError
 from .morse import MorseSpec, eigenfunction, potential
-from .numerics import su2_exp, write_csv
+from .numerics import _cis, su2_exp, write_csv
 from .pulse_design import PulseSchedule, TransferSpec, raw_from_effective
 
 __all__ = [
@@ -202,22 +202,6 @@ def _observables(psi, tgt, grid: SpatialGrid):
 def density_profile(fld: SpinorField):
     """Per-spin densities |psi(x)|^2 on the field's grid."""
     return np.abs(fld.up) ** 2, np.abs(fld.down) ** 2
-
-
-def _cis(angle):
-    """exp(1j * angle) for a real array, from the half-angle tangent
-    t = tan(angle/2) as ((1 - t^2) + 2it) / (1 + t^2).  numpy's float64 tan
-    is vectorised where cos and sin may not be, so this is about twice as
-    fast as a cos and a sin; a double's tan is never infinite, so the form
-    needs no guard."""
-    t = np.tan(0.5 * angle)
-    r = t * t
-    r += 1.0
-    np.divide(2.0, r, out=r)  # 2 / (1 + t^2)
-    out = np.empty(angle.shape, dtype=complex)
-    np.subtract(r, 1.0, out=out.real)
-    np.multiply(t, r, out=out.imag)
-    return out
 
 
 def _turn(rot, psi):

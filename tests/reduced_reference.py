@@ -364,10 +364,11 @@ def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
     Each step applies the exact dephasing kick
     exp(-i lambda' (D/2) sigma_z dW) with dW ~ N(0, dt), split evenly
     around one deterministic midpoint-frozen step of the (mean-field)
-    reduced model; the symmetric placement makes the noise/drift splitting
-    second-order weak.  Per-trajectory noise streams are derived
-    deterministically from (seed, trajectory index), so the result does
-    not depend on evaluation order.  Returns (fidelity, stderr).
+    reduced model.  Both half-kicks of a step share one normal, so the
+    noise/drift splitting is first-order weak.  Per-trajectory noise
+    streams are derived deterministically from (seed, trajectory index), so
+    the result does not depend on evaluation order.  Returns (fidelity,
+    stderr).
     """
     _require_tilt_schedule(schedule)
     if trajectories < 100:

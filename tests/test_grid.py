@@ -6,7 +6,6 @@ import pytest
 
 from socmorse.dynamics_grid import (
     SpatialGrid,
-    _cis,
     _observables as grid_observables,
     SpinorField,
     density_profile,
@@ -122,18 +121,6 @@ class TestObservableFormulas:
         c1, c2, fld = superposition
         obs = observables(fld, ctx)
         assert obs["fidelity"] == pytest.approx(abs(c2) ** 2, abs=1e-12)
-
-
-class TestHalfAnglePhase:
-    """``_cis`` forms exp(i theta) from tan(theta/2); it must stay as close
-    to cos + i sin as they are to each other, at tiny, large and +-pi angles."""
-
-    @pytest.mark.parametrize("angle", [1e-6, 1e-3, 1.0, 100.0, 1e6, np.pi, 3 * np.pi])
-    def test_matches_cos_and_sin(self, angle):
-        theta = np.array([angle, -angle])
-        got = _cis(theta)
-        assert np.max(np.abs(got - (np.cos(theta) + 1j * np.sin(theta)))) <= 5e-16
-        assert np.max(np.abs(np.abs(got) - 1.0)) <= 5e-16
 
 
 class TestEvolution:

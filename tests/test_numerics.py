@@ -10,6 +10,7 @@ from reduced_reference import OdeSettings, ode_propagate
 from socmorse.errors import AccuracyError, DomainError, NumericalFailureError
 from socmorse.numerics import (
     QuadratureSpec,
+    _cis,
     integrate,
     laguerre,
     log_gamma,
@@ -140,6 +141,18 @@ class TestSu2Exp:
     def test_zero_field_is_identity(self):
         u = su2_exp(np.zeros(3), np.zeros(3), 0.7)
         assert np.array_equal(np.array(u), [[1, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 1]])
+
+
+class TestHalfAnglePhase:
+    """``_cis`` forms exp(i theta) from tan(theta/2); it must stay as close
+    to cos + i sin as they are to each other, at tiny, large and +-pi angles."""
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-3, 1.0, 100.0, 1e6, np.pi, 3 * np.pi])
+    def test_matches_cos_and_sin(self, angle):
+        theta = np.array([angle, -angle])
+        got = _cis(theta)
+        assert np.max(np.abs(got - (np.cos(theta) + 1j * np.sin(theta)))) <= 5e-16
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 5e-16
 
 
 class TestOdePropagate:

@@ -9,7 +9,8 @@ import reduced_reference as reference
 from helpers import constant_schedule
 from reduced_reference import BlochState, InteractionSplit, bloch_rhs
 from socmorse.dynamics_grid import SpatialGrid
-from socmorse.dynamics_two_level import propagate, propagate_nonlinear
+from socmorse import robustness
+from socmorse.dynamics_two_level import half_step_nodes, propagate, propagate_nonlinear
 from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.numerics import OdeSettings
 from socmorse.pulse_design import PulseSchedule
@@ -271,6 +272,19 @@ class TestReferenceParity:
                                            dt=self.DT)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["linear", "mean_field"])
+    @pytest.mark.parametrize("nsteps", [1, 511, 512, 513, 1025])
+    def test_stochastic_oracle_at_block_edges(self, ctx, case, nsteps):
+        # one step, one short of a block, one block, one past it, and two
+        # blocks plus one; 300 trajectories span three tiles, the last partial
+        spec, sched = ((ctx.spec_tilt, ctx.sched_tilt) if case == "linear"
+                       else (ctx.spec_interacting, ctx.sched_compensated))
+        dt = spec.t_f / nsteps
+        assert half_step_nodes(spec.t_f, dt)[0] == nsteps
+        got = stochastic_oracle(spec, sched, 0.6, trajectories=300, seed=5, dt=dt)
+        want = reference.stochastic_oracle(spec, sched, 0.6, trajectories=300, seed=5, dt=dt)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
 
 class TestNoiseScan:
     def test_diverging_point_recorded(self, ctx):
@@ -391,6 +405,17 @@ class TestStochasticOracle:
         f, _ = stochastic_oracle(ctx.spec_interacting, ctx.sched_compensated,
                                  0.5, trajectories=1000, seed=0)
         assert abs(f - f_master) <= 0.01
+
+    @pytest.mark.parametrize("case", ["linear", "mean_field"])
+    def test_block_size_does_not_change_the_result(self, ctx, case, monkeypatch):
+        # 5000 steps are 714 blocks of 7 and a block of 2, so 714 step
+        # boundaries merge an angle carried over from the block before
+        spec, sched = ((ctx.spec_tilt, ctx.sched_tilt) if case == "linear"
+                       else (ctx.spec_interacting, ctx.sched_compensated))
+        default = stochastic_oracle(spec, sched, 0.5, trajectories=100, seed=2, dt=2e-3)
+        monkeypatch.setattr(robustness, "_ORACLE_BLOCK", 7)
+        small = stochastic_oracle(spec, sched, 0.5, trajectories=100, seed=2, dt=2e-3)
+        assert np.max(np.abs(np.subtract(small, default))) <= 1e-13
 
     def test_seed_reproducibility(self, ctx):
         a = stochastic_oracle(ctx.spec_tilt, ctx.sched_tilt, 0.4,
