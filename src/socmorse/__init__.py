@@ -2,8 +2,9 @@
 an exponential (Morse-type) trap.
 
 The toolkit designs transfer schedules between neighbouring vibrational
-levels with a spin flip, verifies them by exact two-level propagation and
-by full 1D spinor grid simulation, and scans their robustness against
+levels with a spin flip, verifies them by fixed-step fourth-order
+Runge-Kutta propagation of the two-level model and by full 1D spinor grid
+simulation, and scans their robustness against
 systematic and stochastic Zeeman-channel errors.
 """
 

@@ -7,15 +7,16 @@ target state with spin down); the Hamiltonian comes from the schedule's
 form.  The mean-field variant adds the state-dependent diagonal and remains
 norm preserving because that diagonal is real.
 
-The drive is tabulated once on the half-step node grid of
-:func:`half_step_nodes`.  Every linear run, whether it records a
-trajectory or keeps only its final state, takes :func:`rk4_linear`: the
-same RK4 step written as a transfer matrix, tabulated for blocks of steps,
-composed by pairwise products and applied to the state by a prefix scan
-instead of a step loop.  The mean-field runs take the :func:`rk4` step
-loop, on a tuple of Python scalars (one run, the cheapest form for a single
-state) or on one stacked array whose columns are scan points, stepped
-together.
+The drive lives on the half-step node grid of :func:`half_step_nodes`.
+Every linear run, whether it records a trajectory or keeps only its final
+state, takes :func:`rk4_linear`: the same RK4 step written as a transfer
+matrix, built for one block of steps at a time, composed by pairwise
+products and applied to the state by a prefix scan instead of a step loop.
+The mean-field runs take the :func:`rk4` step loop, on a tuple of Python
+scalars (one run, the cheapest form for a single state) or on one stacked
+array whose columns are scan points, stepped together with per-node tables
+built one block of steps at a time.  A batch may give its drive as a
+function of a node slice, so its ``(nodes, L)`` table is never held whole.
 """
 
 from __future__ import annotations
@@ -191,41 +192,70 @@ def _prefix_states(levels, y):
     return y
 
 
+def _on_nodes(entry):
+    """``entry`` as a function of a slice of half-step nodes: itself when it
+    is callable, else the rows of its table."""
+    return entry if callable(entry) else np.asarray(entry).__getitem__
+
+
+def _node_blocks(build):
+    """``at(j) -> (tables, k)``: node j is row k of each table that
+    ``build(nodes)`` returns for a slice of half-step nodes.  The tables are
+    built for :data:`_BLOCK` steps at a time, when j leaves the last slice,
+    so j must never decrease, as in :func:`rk4`."""
+    lo, tables = -2 * _BLOCK, ()
+
+    def at(j):
+        nonlocal lo, tables
+        if j - lo >= 2 * _BLOCK:
+            lo, tables = j, build(slice(j, j + 2 * _BLOCK))
+        return tables, j - lo
+
+    return at
+
+
 def rk4_linear(matrix, state, nsteps, h, stride=None):
     """:func:`rk4` for a linear y' = A(t) y, without a step loop.
 
-    ``matrix[r][c]`` holds A's (r, c) entry on the half-step nodes, with
-    shape ``(nodes,)`` or ``(nodes, L)`` for L columns stepped at once.
-    The same RK4 step, written out as a matrix, is y <- P_i y with
-    K1 = A0, K2 = A1 (I + h/2 K1), K3 = A1 (I + h/2 K2),
-    K4 = A2 (I + h K3) and P_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where
-    A0, A1, A2 sit on nodes 2i, 2i+1, 2i+2.  The P_i are tabulated entry
-    by entry for blocks of ``_BLOCK`` steps.  Each block is reduced by
-    pairwise products (the up-sweep) and its product carries the state to
-    the next block; a block that records a state past its start also walks
-    the saved products down on its start state (the down-sweep of a
-    work-efficient scan), so every record is a prefix product
-    P_k ... P_0 y0.  Only rounding differs from the step loop.  A column
-    that overflows comes back non-finite without touching the others.
-    Returns ``rk4``'s steps, for the same ``stride``, and the states as one
-    array whose rows unpack like ``rk4``'s state tuples: shape
-    ``(records, n)``, or ``(records, n, L)`` with L columns.
+    ``matrix[r][c]`` gives A's (r, c) entry on a slice of the half-step
+    nodes, with shape ``(nodes,)`` or ``(nodes, L)`` for L columns stepped
+    at once: either as a function of the slice, or as a table over every
+    node, which is read by the same slices.  The same RK4 step, written out
+    as a matrix, is y <- P_i y with K1 = A0, K2 = A1 (I + h/2 K1),
+    K3 = A1 (I + h/2 K2), K4 = A2 (I + h K3) and
+    P_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4), where A0, A1, A2 sit on nodes
+    2i, 2i+1, 2i+2.  The run goes in blocks of ``_BLOCK`` steps, and each
+    block asks for the entries on its own 2 ``_BLOCK`` + 1 nodes only, so
+    no table spans the run unless a caller passes one.  Each block's P_i
+    are reduced by pairwise products (the up-sweep) and its product carries
+    the state to the next block; a block that records a state past its
+    start also walks the saved products down on its start state (the
+    down-sweep of a work-efficient scan), so every record is a prefix
+    product P_k ... P_0 y0.  Only rounding differs from the step loop.  A
+    column that overflows comes back non-finite without touching the
+    others.  Returns ``rk4``'s steps, for the same ``stride``, and the
+    states as one array whose rows unpack like ``rk4``'s state tuples:
+    shape ``(records, n)``, or ``(records, n, L)`` with L columns.
     """
-    tables = [[np.asarray(e) for e in row] for row in matrix]
+    entries = [[_on_nodes(e) for e in row] for row in matrix]
     y = [np.asarray(c) for c in state]
-    if any(t.ndim == 2 for row in tables for t in row) or any(c.ndim for c in y):
-        tables = [[t.reshape(len(t), -1) for t in row] for row in tables]
-        y = [c.reshape(-1) for c in y]
-    width = np.broadcast_shapes(*(t.shape[1:] for row in tables for t in row),
-                                *(c.shape for c in y))
-    y = [[np.broadcast_to(c, width)[None]] for c in y]
-    n = len(tables)
+    wide = any(c.ndim for c in y)  # has a column axis
+    y = [[c.reshape(1, -1) if wide else c[None]] for c in y]
+    n = len(entries)
     half, sixth = 0.5 * h, h / 6.0
     stride = stride or nsteps
     steps, records = [], []
     for start in range(0, nsteps, _BLOCK):
         stop = min(start + _BLOCK, nsteps)
-        a0, a1, a2 = ([[t[2 * start + j:2 * stop + j:2] for t in row] for row in tables]
+        tables = [[np.asarray(e(slice(2 * start, 2 * stop + 1))) for e in row]
+                  for row in entries]
+        wide = wide or any(t.ndim == 2 for row in tables for t in row)
+        if wide:
+            tables = [[t.reshape(len(t), -1) for t in row] for row in tables]
+        width = np.broadcast_shapes(*(t.shape[1:] for row in tables for t in row),
+                                    *(c.shape[1:] for c, in y))
+        y = [[np.broadcast_to(c, (1,) + width)] for c, in y]
+        a0, a1, a2 = ([[t[j:j + 2 * (stop - start):2] for t in row] for row in tables]
                       for j in (0, 1, 2))
         k1 = a0
         k2 = _matmul(a1, _identity_plus(half, k1))
@@ -252,27 +282,28 @@ def rk4_linear(matrix, state, nsteps, h, stride=None):
 def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stride=1):
     """Amplitudes under H = [[z/2 + n1, od], [conj(od), -z/2 + n2]].
 
-    ``z`` and ``od`` hold the drive on the half-step nodes, each with shape
-    ``(nodes,)`` or ``(nodes, L)`` for L runs stepped at once.  A linear run
-    (``g`` None) takes :func:`rk4_linear`, whatever the stride.  With
-    mean-field constants ``g = (g11, g22, g12, g21)`` the diagonal adds
-    n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2 from the populations p,
-    and the run takes the :func:`rk4` step loop: one run steps Python
-    scalars; L runs step one stacked ``(2, L)`` state Y with the drive
-    folded into per-node tables, dY = (D_j + G p) Y + O_j Y[::-1].
-    Returns ``rk4``'s ``(steps, states)`` with ``(c1, c2)`` rows; nothing
-    is checked here.
+    ``z`` and ``od`` give the drive on the half-step nodes, each as a table
+    of shape ``(nodes,)`` or ``(nodes, L)`` for L runs stepped at once, or
+    as a function of a node slice that gives the drive on those nodes (a
+    batch of runs, whose ``(nodes, L)`` table is then never held whole).  A
+    linear run (``g`` None) takes :func:`rk4_linear`, whatever the stride.
+    With mean-field constants ``g = (g11, g22, g12, g21)`` the diagonal
+    adds n1 = g11 p1 + g12 p2 and n2 = g21 p1 + g22 p2 from the populations
+    p, and the run takes the :func:`rk4` step loop: one run, two 1-D
+    tables, steps Python scalars; a batch steps one stacked ``(2, L)``
+    state Y with the drive folded into per-node tables, built one block of
+    steps at a time, dY = (D_j + G p) Y + O_j Y[::-1].  Returns ``rk4``'s
+    ``(steps, states)`` with ``(c1, c2)`` rows; nothing is checked here.
     """
-    z, od = np.asarray(z), np.asarray(od)
     if g is None:
-        hz = 0.5 * z
-        odc = np.conj(od)
+        z, od = _on_nodes(z), _on_nodes(od)
+        entries = ((lambda s: -1j * (0.5 * z(s)), lambda s: -1j * od(s)),
+                   (lambda s: -1j * np.conj(od(s)), lambda s: 1j * (0.5 * z(s))))
         with np.errstate(over="ignore", invalid="ignore"):
-            return rk4_linear(((-1j * hz, -1j * od), (-1j * odc, 1j * hz)),
-                              initial, nsteps, h, stride)
+            return rk4_linear(entries, initial, nsteps, h, stride)
     g11, g22, g12, g21 = g
-    if z.ndim == 1 and od.ndim == 1:
-        hz, od, odc = (t.tolist() for t in (0.5 * z, od, np.conj(od)))
+    if not callable(z) and np.ndim(z) == 1 and np.ndim(od) == 1:
+        hz, od, odc = (t.tolist() for t in (0.5 * np.asarray(z), np.asarray(od), np.conj(od)))
 
         def deriv(j, a1, a2):
             p1 = a1.real * a1.real + a1.imag * a1.imag
@@ -284,15 +315,21 @@ def step_amplitudes(z, od, nsteps, h, g=None, initial=(1.0 + 0j, 0.0 + 0j), stri
         with np.errstate(over="ignore", invalid="ignore"):
             return rk4(deriv, initial, nsteps, h, stride)
 
-    hz, od = 0.5 * z.reshape(len(z), -1), od.reshape(len(od), -1)
-    diag = -1j * np.stack((hz, -hz), axis=1)
-    off = -1j * np.stack((od, od.conj()), axis=1)
-    start = np.empty((2, max(hz.shape[1], od.shape[1])), dtype=complex)
+    z, od = _on_nodes(z), _on_nodes(od)
+
+    def tables(nodes):
+        hz, o = 0.5 * np.asarray(z(nodes)), np.asarray(od(nodes))
+        hz, o = hz.reshape(len(hz), -1), o.reshape(len(o), -1)
+        return -1j * np.stack((hz, -hz), axis=1), -1j * np.stack((o, o.conj()), axis=1)
+
+    at = _node_blocks(tables)
+    start = np.empty((2, max(t.shape[2] for t in at(0)[0])), dtype=complex)
     start[0], start[1] = initial
     coupling = -1j * np.array([[g11, g12], [g21, g22]])
 
     def deriv(j, y):
-        return ((diag[j] + coupling @ (y * y.conj()).real) * y + off[j] * y[::-1],)
+        (diag, off), k = at(j)
+        return ((diag[k] + coupling @ (y * y.conj()).real) * y + off[k] * y[::-1],)
 
     with np.errstate(over="ignore", invalid="ignore"):
         steps, states = rk4(deriv, (start,), nsteps, h, stride)

@@ -145,16 +145,26 @@ def su2_exp(dz, w, tau):
             -1j * sinc_r * np.conj(w), cos_r + 1j * sinc_r * dz)
 
 
-def _cis(angle, out=None):
+def _cis(angle, out=None, scratch=None):
     """exp(1j * angle) for a real array, from the half-angle tangent
-    t = tan(angle/2) as ((1 - t^2) + 2it) / (1 + t^2), written into ``out``
-    when one is given.  numpy's float64 tan is vectorised where cos and sin
-    may not be: on one 512 x 1000 block of oracle angles (2-core Xeon) this
-    took 3.1-3.5 ms into a reused ``out``, against 4.7-5.4 ms for a cos and a
-    sin into the same buffer.  A double's tan is never infinite, so the form
-    needs no guard."""
-    t = np.tan(0.5 * angle)
-    r = t * t
+    t = tan(angle/2) as ((1 - t^2) + 2it) / (1 + t^2).
+
+    Without ``out`` the result is a new array and ``angle`` is left alone.
+    With ``out`` it is written there and nothing of angle's size is
+    allocated: ``angle`` is overwritten by t, and ``scratch`` (a float
+    array of angle's shape) holds 2 / (1 + t^2); the values are the same
+    bit for bit.  numpy's float64 tan is vectorised where cos and sin may
+    not be: on one 256 x 1000 block of oracle angles (2-core Xeon, each
+    call after a 0.16 ms copy of the angles) the in-place form took
+    1.7-1.9 ms, against 2.5-2.8 ms for a cos and a sin into the same
+    ``out`` and 4.3-4.8 ms without ``out``.  A double's tan is never
+    infinite, so the form needs no guard."""
+    if out is None:
+        t = np.tan(0.5 * angle)
+        r = t * t
+    else:
+        t = np.tan(np.multiply(angle, 0.5, out=angle), out=angle)
+        r = np.multiply(t, t, out=scratch)
     r += 1.0
     np.divide(2.0, r, out=r)  # 2 / (1 + t^2)
     if out is None:

@@ -12,9 +12,14 @@ recorded or not, takes the RK4 as products of per-step transfer matrices
 (:func:`~socmorse.dynamics_two_level.rk4_linear`), not as a step loop.
 The mean-field runs keep the step loop, but each step advances one
 stacked state, ``(2, L)`` amplitudes or ``(3, L)`` Bloch vectors for L
-points, with the drive tabulated per node before the loop.  A batched scan
-holds its drive as ``(nodes, L)`` tables, so its points times nodes are
-bounded by :data:`MAX_SCAN_NODES`.
+points.  The schedule is evaluated once, as 1-D arrays over the half-step
+nodes; what a batch adds per point (the scaled Zeeman term, the damping
+and the per-node tables of the mean-field step) is built from them one
+block of steps at a time, so a batch's memory grows with its points but
+not with its steps.  At 64 points the four scans peaked at 1.8-13.8 MiB
+of numpy allocations (tracemalloc), and halving the step raised a peak by
+at most 11% (``tests/test_robustness.py::TestWorkingSet``).
+:data:`MAX_SCAN_NODES` bounds a scan's points times nodes, its work.
 The Zeeman term of every reduced-model scan comes from
 :meth:`~socmorse.pulse_design.PulseSchedule.reduced_terms`.
 """
@@ -25,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics_two_level import half_step_nodes, rk4, rk4_linear, step_amplitudes
+from .dynamics_two_level import (_node_blocks, half_step_nodes, rk4, rk4_linear,
+                                 step_amplitudes)
 from .errors import DomainError, NumericalFailureError, SocmorseError
 from .numerics import OdeSettings, _cis, su2_exp, write_csv
 from .pulse_design import PulseSchedule, TransferSpec
@@ -34,26 +40,34 @@ from .pulse_design import PulseSchedule, TransferSpec
 # programming error and propagates rather than becoming a NaN point.
 _SCAN_FAILURES = (SocmorseError, FloatingPointError)
 
-# Steps whose noise draws and kicks the oracle holds at once.
-_ORACLE_BLOCK = 512
+# Steps whose noise draws and kicks the oracle holds at once, 32 bytes per
+# step and trajectory (the draws, then the merged angles; a scratch row; the
+# complex kicks).  1000 trajectories of 10**4 steps (2-core Xeon, three
+# calls in each of two processes) took 0.38-0.41 s and 94 MiB peak resident
+# memory in blocks of 256 steps, against 0.38-0.41 s and 102 MiB in blocks
+# of 512.
+_ORACLE_BLOCK = 256
 
 # Side of the square tiles in which the oracle turns its per-trajectory
-# draws into per-step rows.  On a 512 x 1000 block (2-core Xeon) 128 x 128
-# tiles took 1.7-1.9 ms, 64 x 64 tiles 1.9-2.4 ms and one strided copy 2.9 ms.
+# draws into per-step rows.  On a 256 x 1000 block (2-core Xeon, warm
+# buffers) 128 x 128 tiles took 0.70-0.75 ms, 64 x 64 tiles 0.81-0.87 ms,
+# tiles as tall as the block 0.64-0.70 ms and one strided copy 0.77-1.19 ms:
+# all below 0.3% of an oracle call.
 _ORACLE_TILE = 128
 
 # Fewest trajectories the stochastic oracle averages over.
 MIN_TRAJECTORIES = 100
 
 # Most trajectories it may average over: 10**4 trajectories of 10**4 steps
-# took 330 MiB peak resident memory on a 2-core Xeon.
+# took 4.0 s and 173 MiB peak resident memory on a 2-core Xeon.
 MAX_TRAJECTORIES = 10**4
 
 # Most scan points times half-step nodes one batched reduced-model scan may
-# tabulate: its per-node tables took at most 72 bytes per point and node
-# (the mean-field systematic scan at 100 and 200 points of 2 * 10**4 + 1
-# nodes, peak resident memory on a 2-core Xeon), so this caps a scan near
-# 1.7 GiB and still admits 1000 points at the default step.
+# take.  It bounds the work, not the memory, which the blocks of steps keep
+# independent of the step count: at the CLI's 1000 points and the default
+# step (2 * 10**7 point-nodes, 2-core Xeon) the linear systematic scan took
+# 2.7 s and 298 MiB peak resident memory and the mean-field one 1.4 s and
+# 179 MiB.
 MAX_SCAN_NODES = 25 * 10**6
 
 __all__ = [
@@ -90,11 +104,16 @@ class ScanResult:
                          (self.values, self.fidelities))
 
     def curvature_at_zero(self, window: float = 0.16):
-        """Quadratic-fit curvature of the fidelity around parameter zero.
+        """Twice the leading coefficient of a least-squares quadratic fitted
+        to the finite points with |parameter| <= ``window``.
 
-        Returns None when fewer than three finite points fall inside the
-        window.  Negative values mean the scanned point is a local maximum
-        of the fidelity.
+        This is not the curvature at zero: over a window this wide the fit
+        takes in the quartic and higher terms of the fidelity.  For the
+        linear tilted-field design at c = 0.1, t_f = 10 (depth 8,
+        alpha = 1.6), the 21-point systematic scan over [-0.5, 0.5] gives
+        -61.6, while the second difference of the scan at lambda = +-1e-3
+        gives -103.0.  Returns None when fewer than three finite points fall
+        inside the window.
         """
         mask = (np.abs(self.values) <= window) & np.isfinite(self.fidelities)
         if int(np.sum(mask)) < 3:
@@ -124,8 +143,9 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     runs by :func:`~socmorse.dynamics_two_level.rk4_linear`, records or
     not; otherwise by ``rk4``.
 
-    Every run steps one ``(3, L)`` state, one column per noise strength,
-    with the shared drive as a per-node 3x3 table.  An array of L strengths
+    Every run steps one ``(3, L)`` state, one column per noise strength.
+    The shared drive and the per-strength damping are built one block of
+    steps at a time from the 1-D schedule.  An array of L strengths
     gives states of shape (records, 3, L); a column that overflows comes
     back non-finite instead of raising, so one bad point cannot sink the
     batch.  A single strength runs as a batch of one, gives states of shape
@@ -140,7 +160,11 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     start = np.zeros((3, strength.size))
     start[2] = 1.0
     with np.errstate(over="ignore"):
-        damp = 0.5 * strength.reshape(-1)**2 * d * d
+        rate = 0.5 * strength.reshape(-1)**2
+
+    def damp(s):  # the damping rate on the nodes s, one column per strength
+        return rate * d[s] * d[s]
+
     g11, g22, g12, g21 = spec.g_effective
     gd_tot = 0.5 * (g11 - g22) + 0.5 * (g12 - g21)
     gs_tot = 0.5 * (g11 + g22) - 0.5 * (g12 + g21)
@@ -148,16 +172,25 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
     zero = np.zeros_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
         if gs_tot == 0.0:
-            steps, states = rk4_linear(((-damp, z_eff, -y), (-z_eff, -damp, x),
-                                        (y, -x, zero)), start, nsteps, h, record_stride)
+            def loss(s):
+                return -damp(s)
+
+            steps, states = rk4_linear(((loss, z_eff, -y), (-z_eff, loss, x), (y, -x, zero)),
+                                       start, nsteps, h, record_stride)
         else:
-            drive = np.stack((zero, z_eff, -y, -z_eff, zero, x, y, -x, zero),
-                             axis=1).reshape(-1, 3, 3)
             pull = np.array([[gs_tot], [-gs_tot]])
 
+            def tables(s):
+                drive = np.stack((zero[s], z_eff[s], -y[s], -z_eff[s], zero[s], x[s], y[s],
+                                  -x[s], zero[s]), axis=1).reshape(-1, 3, 3)
+                return drive, damp(s)
+
+            at = _node_blocks(tables)
+
             def deriv(j, s):
-                out = drive[j] @ s
-                out[:2] += (pull * s[2]) * s[1::-1] - damp[j] * s[:2]
+                (drive, damp_rows), k = at(j)
+                out = drive[k] @ s
+                out[:2] += (pull * s[2]) * s[1::-1] - damp_rows[k] * s[:2]
                 return (out,)
 
             steps, states = rk4(deriv, (start,), nsteps, h, record_stride)
@@ -174,7 +207,7 @@ def bloch_propagate(spec: TransferSpec, schedule: PulseSchedule,
 def _scan_nodes(t_f, step, values):
     """:func:`~socmorse.dynamics_two_level.half_step_nodes` for a batched
     scan over ``values``; raises :class:`DomainError` when the points times
-    nodes exceed :data:`MAX_SCAN_NODES`, before any table is allocated."""
+    nodes exceed :data:`MAX_SCAN_NODES`, before any work is done."""
     nsteps, h, nodes = half_step_nodes(t_f, step)
     if np.size(values) * len(nodes) > MAX_SCAN_NODES:
         raise DomainError(f"{np.size(values)} scan points of {len(nodes)} half-step nodes "
@@ -214,7 +247,8 @@ def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
 
     All points propagate the (mean-field, when the spec carries
     interactions) two-level model together, one column of the Zeeman
-    table per point, Z(t) + lambda b(t) with Z from the schedule's
+    term per point, Z(t) + lambda b(t), built one block of steps at a
+    time from the 1-D Z and b, with Z from the schedule's
     :meth:`~socmorse.pulse_design.PulseSchedule.reduced_terms`; a point
     whose final amplitudes are non-finite or whose norm drifted by more
     than 1e-6 is recorded as a failure.  An invalid step, or more points
@@ -225,8 +259,11 @@ def scan_systematic(spec: TransferSpec, schedule: PulseSchedule, lambdas,
     def run(lambdas):
         z, od = schedule.reduced_terms(nodes)
         b = np.asarray(schedule.b_at(nodes), dtype=float)
-        z = z[:, None] + b[:, None] * lambdas
-        _, states = step_amplitudes(z, od, nsteps, h,
+
+        def zeeman(s):  # Z + lambda b on the nodes s, one column per point
+            return z[s, None] + b[s, None] * lambdas
+
+        _, states = step_amplitudes(zeeman, od, nsteps, h,
                                     spec.g_effective if spec.interacting else None,
                                     stride=None)
         c1, c2 = states[-1]
@@ -375,7 +412,7 @@ def stochastic_oracle(spec: TransferSpec, schedule: PulseSchedule,
         np.add(carried, rows[0], out=merged[0])
         np.add(rows[1:], rows[:-1], out=merged[1:])
         carried[:] = rows[-1]
-        for kick, (u11, u12, u21, u22) in zip(_cis(merged, out=kicks[:n]),
+        for kick, (u11, u12, u21, u22) in zip(_cis(merged, out=kicks[:n], scratch=rows),
                                               steps(start, start + n)):
             c2 *= kick
             np.multiply(c1, u21, out=t1)

@@ -154,6 +154,15 @@ class TestHalfAnglePhase:
         assert np.max(np.abs(got - (np.cos(theta) + 1j * np.sin(theta)))) <= 5e-16
         assert np.max(np.abs(np.abs(got) - 1.0)) <= 5e-16
 
+    def test_in_place_form_is_bit_identical(self):
+        theta = np.random.default_rng(3).normal(scale=2.0, size=(5, 7))
+        want = _cis(theta)
+        angle, scratch = theta.copy(), np.empty_like(theta)
+        out = np.empty(theta.shape, dtype=complex)
+        assert _cis(angle, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(angle, np.tan(0.5 * theta))  # the angles are used up
+
 
 class TestOdePropagate:
     def test_natural_grid_takes_one_substep_per_step(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ from helpers import constant_schedule
 from reduced_reference import BlochState, InteractionSplit, bloch_rhs
 from socmorse.dynamics_grid import SpatialGrid
 from socmorse import robustness
-from socmorse.dynamics_two_level import half_step_nodes, propagate, propagate_nonlinear
+from socmorse.dynamics_two_level import _BLOCK, half_step_nodes, propagate, propagate_nonlinear
 from socmorse.errors import DomainError, NumericalFailureError
 from socmorse.numerics import OdeSettings
 from socmorse.pulse_design import PulseSchedule
@@ -358,6 +359,77 @@ class TestStackedScans:
         assert np.all(np.isfinite(res.fidelities[[0, 2]]))
 
 
+class TestWorkingSet:
+    """Batched runs build their drive one block of steps at a time, so the
+    memory they allocate does not grow with the step count: halving the
+    step moves the peak by less than a quarter, and the peak stays within a
+    few block-sized arrays.  Measured with tracemalloc, which sees numpy's
+    allocations."""
+
+    POINTS = 64
+    TRAJECTORIES = 1000
+    # Held per step and per point (or trajectory) by a block: the 2x2
+    # complex step matrix of a linear amplitude scan, the 3x3 real one of a
+    # linear Bloch scan, the mean-field diagonal (two complex entries on each
+    # of a step's two nodes), the mean-field damping (one real entry on each
+    # node), and the oracle's draw or merged angle, its scratch row and its
+    # complex kick.
+    ENTRY_BYTES = {"systematic_linear": 4 * 16, "noise_linear": 9 * 8,
+                   "systematic_mean_field": 2 * 2 * 16, "noise_mean_field": 2 * 8,
+                   "oracle": 8 + 8 + 16}
+    # Block-sized arrays a run may hold at once: an RK4 block keeps the
+    # drive on two nodes per step, three stage products, the step matrices
+    # and their temporaries; the oracle keeps its three buffers and nothing
+    # of their size besides.
+    RK4_STACKS, ORACLE_STACKS = 8, 1
+    # The 1-D drive on every node (Z, the coupling and b, with their
+    # temporaries), the per-point state and the oracle's generators.
+    ALLOWANCE = 3 * 2**20
+
+    @pytest.fixture
+    def run(self, ctx):
+        # the designs are built here, outside the measured calls
+        tilt = ctx.spec_tilt, ctx.sched_tilt
+        mean_field = ctx.spec_interacting, ctx.sched_compensated
+        values = np.linspace(-0.5, 0.5, self.POINTS)
+        strengths = np.linspace(0.0, 1.0, self.POINTS)
+        return {
+            "systematic_linear": lambda dt: scan_systematic(*tilt, values, OdeSettings(dt)),
+            "systematic_mean_field": lambda dt: scan_systematic(*mean_field, values,
+                                                                OdeSettings(dt)),
+            "noise_linear": lambda dt: scan_noise(*tilt, strengths, dt=dt),
+            "noise_mean_field": lambda dt: scan_noise(*mean_field, strengths, dt=dt),
+            "oracle": lambda dt: stochastic_oracle(*tilt, 0.5, trajectories=self.TRAJECTORIES,
+                                                   seed=1, dt=dt),
+        }
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The mean-field runs and the oracle step in Python, so they take the
+    # coarser pair; 1000 steps are still two RK4 blocks and four oracle blocks.
+    @pytest.mark.parametrize("case, dt", [
+        ("systematic_linear", 2.5e-3), ("noise_linear", 2.5e-3),
+        ("systematic_mean_field", 1e-2), ("noise_mean_field", 1e-2), ("oracle", 1e-2)])
+    def test_peak_does_not_grow_with_the_step_count(self, ctx, run, case, dt):
+        if case == "oracle":
+            block, points = robustness._ORACLE_BLOCK, self.TRAJECTORIES
+            stacks = self.ORACLE_STACKS
+        else:
+            block, points, stacks = _BLOCK, self.POINTS, self.RK4_STACKS
+        assert half_step_nodes(ctx.spec_tilt.t_f, dt)[0] > block  # two blocks or more
+        coarse, fine = self._peak(lambda: run[case](dt)), self._peak(lambda: run[case](dt / 2))
+        assert fine <= 1.25 * coarse
+        bound = stacks * block * points * self.ENTRY_BYTES[case] + self.ALLOWANCE
+        assert max(coarse, fine) <= bound
+
+
 class TestInvalidStep:
     """A step that is not finite and positive is a domain error at every
     entry point, never a silent result."""
@@ -409,13 +481,18 @@ class TestStochasticOracle:
     @pytest.mark.parametrize("case", ["linear", "mean_field"])
     def test_block_size_does_not_change_the_result(self, ctx, case, monkeypatch):
         # 5000 steps are 714 blocks of 7 and a block of 2, so 714 step
-        # boundaries merge an angle carried over from the block before
+        # boundaries merge an angle carried over from the block before, and
+        # one block of all 5000 steps carries none.  Each stream and each
+        # kick stay the same, so the result does too, bit for bit.
         spec, sched = ((ctx.spec_tilt, ctx.sched_tilt) if case == "linear"
                        else (ctx.spec_interacting, ctx.sched_compensated))
+        nsteps = half_step_nodes(spec.t_f, 2e-3)[0]
+        assert nsteps % 7 and nsteps > robustness._ORACLE_BLOCK
         default = stochastic_oracle(spec, sched, 0.5, trajectories=100, seed=2, dt=2e-3)
-        monkeypatch.setattr(robustness, "_ORACLE_BLOCK", 7)
-        small = stochastic_oracle(spec, sched, 0.5, trajectories=100, seed=2, dt=2e-3)
-        assert np.max(np.abs(np.subtract(small, default))) <= 1e-13
+        for block in (7, nsteps):
+            monkeypatch.setattr(robustness, "_ORACLE_BLOCK", block)
+            got = stochastic_oracle(spec, sched, 0.5, trajectories=100, seed=2, dt=2e-3)
+            assert got == default, block
 
     def test_seed_reproducibility(self, ctx):
         a = stochastic_oracle(ctx.spec_tilt, ctx.sched_tilt, 0.4,
