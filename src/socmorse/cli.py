@@ -108,8 +108,11 @@ _KEYS = {
 }
 
 
-# Most values one scan grid may hold: a 1001-point systematic scan at the
-# default step took 3.2 s and 1.2 GiB peak resident memory on a 2-core Xeon.
+# Most values one scan grid may hold: at the default step and operation time
+# a full grid stays inside robustness.MAX_SCAN_NODES.  A 1000-point
+# systematic scan of the tilted field, run as `socmorse scan` in a fresh
+# process, took 3.3-3.4 s and 297-313 MiB peak resident memory on a 2-core
+# Xeon.
 MAX_SCAN_POINTS = 1000
 
 

@@ -36,10 +36,8 @@ real, so each turn is one real product on the spinor's float view.  The
 phase leaves |psi_up|^2 and |psi_down|^2 unchanged, so both merged halves
 see the density the momentum step left, and computing it once per step is
 exact.  It is formed from the half-angle tangent (see ``_cis``).  The Raman
-coupling mixes the spins in position space, so a Raman mean field
-(``transfer.scheme = raman`` with any ``interaction.g_*`` set, run by
-``socmorse simulate --engine grid``) keeps the per-point exponential with
-the density refreshed before every half-step.
+scheme carries no mean field (:class:`~socmorse.pulse_design.TransferSpec`
+rejects interaction constants there).
 """
 
 from __future__ import annotations
@@ -210,15 +208,6 @@ def _turn(rot, psi):
     return (rot @ psi.view(np.float64)).view(complex)
 
 
-def _position_half_step(psi, diag, w, tau):
-    """exp(-i tau [[diag[0], w], [w, diag[1]]]) applied pointwise to the
-    stacked spinor, for x-dependent diagonals and a real coupling ``w``."""
-    u11, u12, u21, u22 = su2_exp(0.5 * (diag[0] - diag[1]), w, tau)
-    phase = np.exp(-0.5j * tau * (diag[0] + diag[1]))
-    return phase * np.stack((u11 * psi[0] + u12 * psi[1],
-                             u21 * psi[0] + u22 * psi[1]))
-
-
 def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
            dt: float = 1e-3, t_f: Optional[float] = None,
            record_stride: int = 20):
@@ -244,11 +233,9 @@ def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
     factor turns the spinor to the lab frame with R_i, applies one phase for
     the potential, Zeeman and mean-field terms there and turns it back with
     R_{i+1}^T; the phase leaves each |psi|^2 as the momentum step left it,
-    so one density per step serves both halves exactly.  With a Raman
-    mean field the position factor mixes the spins, so the density is
-    refreshed before each half-step.  Records and the returned field are in
-    the lab frame.  The steps come from the one step rule,
-    :func:`~socmorse.dynamics_two_level.half_step_nodes`.  Raises
+    so one density per step serves both halves exactly.  Records and the
+    returned field are in the lab frame.  The steps come from the one step
+    rule, :func:`~socmorse.dynamics_two_level.half_step_nodes`.  Raises
     :class:`DomainError` unless ``dt`` and ``t_f`` are finite and positive
     and ``record_stride >= 1``.
     """
@@ -276,40 +263,24 @@ def evolve(fld: SpinorField, spec: TransferSpec, schedule: PulseSchedule,
     mom = np.exp(-1j * h * 0.5 * k**2) * np.exp(-1j * h * spec.alpha
                                                 * np.outer([1.0, -1.0], k))
 
-    nonlinear = spec.interacting
-    if nonlinear:
-        g_uu, g_dd, g_ud, g_du = raw_from_effective(spec)
-        g_mat = np.array([[g_uu, g_ud], [g_du, g_dd]])
-
-        def mean_field(psi):
-            return g_mat @ (psi.real**2 + psi.imag**2)
-
     if not raman:  # R_i = R(theta1_i/2), M(theta1_i) = R_i sigma_z R_i^T
         cos_h, sin_h = np.cos(0.5 * amp_mid), np.sin(0.5 * amp_mid)
         rot = np.array([[cos_h, -sin_h], [sin_h, cos_h]]).transpose(2, 0, 1)
 
-    if raman and nonlinear:
-        zeeman = np.array([[0.5], [-0.5]])
-
-        def half(i, psi):
-            diag = u_pot + mean_field(psi) + gap_mid[i] * zeeman
-            return _position_half_step(psi, diag, w_mid[i], tau)
-
-        def merged(i, psi):
-            return half(i + 1, half(i, psi))
-
-        enter = leave = half
-    elif nonlinear:
-        # The density is a lab-frame quantity, and there the potential,
-        # Zeeman and mean-field terms are all spin diagonal: one phase per
-        # position step, between R_i (out of frame i) and R_{i+1}^T (into
-        # frame i+1).  zeeman[i] is the Zeeman half-step's angle, -tau b/2
-        # for spin up and +tau b/2 for spin down.
+    if spec.interacting:
+        # Only a tilted-field scheme gets here (TransferSpec rejects a Raman
+        # mean field).  The density is a lab-frame quantity, and there the
+        # potential, Zeeman and mean-field terms are all spin diagonal: one
+        # phase per position step, between R_i (out of frame i) and
+        # R_{i+1}^T (into frame i+1).  zeeman[i] is the Zeeman half-step's
+        # angle, -tau b/2 for spin up and +tau b/2 for spin down.
+        g_uu, g_dd, g_ud, g_du = raw_from_effective(spec)
+        g_mat = np.array([[g_uu, g_ud], [g_du, g_dd]])
         zeeman = np.multiply.outer(0.5 * tau * gap_mid, [[-1.0], [1.0]])
         zeeman_merged = zeeman[1:] + zeeman[:-1]
 
         def lab_phase(psi, halves, zeeman_angle):
-            angle = mean_field(psi)
+            angle = g_mat @ (psi.real**2 + psi.imag**2)
             angle += u_pot
             angle *= -(halves * tau)
             angle += zeeman_angle

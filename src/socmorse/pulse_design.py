@@ -56,7 +56,11 @@ class SmallAngleWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransferSpec:
-    """Full statement of one transfer problem."""
+    """Full statement of one transfer problem.
+
+    Interaction constants need a tilted-field scheme; the Raman scheme has
+    no mean-field design.
+    """
 
     morse: MorseSpec
     n: int = 0
@@ -86,6 +90,9 @@ class TransferSpec:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if not all(map(math.isfinite, self.g_effective)):
             raise DomainError(f"interaction constants must be finite, got {self.g_effective}")
+        if self.scheme == "raman" and self.interacting:
+            raise DomainError("interaction constants need a tilted-field scheme "
+                              "(so_direction or so_direction_interacting), not raman")
         self.morse.bound_state(self.l)  # both states must be bound
         if self.t_f * self.delta_e < 10.0:
             warnings.warn(

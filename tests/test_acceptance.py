@@ -6,15 +6,34 @@ failure.  The single known-infeasible grid criterion is a strict expected
 failure so that any behaviour change is flagged either way.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from socmorse import acceptance
+from socmorse.cli import RunConfig, build_transfer_spec
 
 
 def _run(fn, ctx):
     result = fn(ctx)
     detail = "\n".join(result.details)
     assert result.passed, f"{result.label}\n{detail}"
+
+
+# Each context spec and the canonical config changes that give it.
+_CANONICAL_SPECS = {
+    "spec_raman": {},
+    "spec_raman_wide": {"c": 1.5},
+    "spec_tilt": {"scheme": "so_direction"},
+    "spec_interacting": {"scheme": "so_direction_interacting"},
+}
+
+
+@pytest.mark.parametrize("name", _CANONICAL_SPECS)
+def test_context_checks_the_command_line_case(ctx, name):
+    # the suite checks the very condensate that simulate and reproduce run
+    config = replace(RunConfig(), **_CANONICAL_SPECS[name])
+    assert getattr(ctx, name) == build_transfer_spec(config)
 
 
 def test_criterion_1_bound_structure(ctx):

@@ -143,18 +143,18 @@ class TestCommands:
         for name in ("grid_report.csv", "final_density.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_simulate_grid_raman_mean_field(self, tmp_path):
-        # a Raman config with a raw coupling runs the grid engine's
-        # per-point mean-field step
+    def test_simulate_grid_raman_mean_field(self, tmp_path, capsys):
+        # interaction constants need a tilted-field scheme: a Raman config
+        # with a raw coupling is rejected before anything is written
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("transfer.scheme = raman\ninteraction.g_uu = 0.1\n"
                        "grid.points = 512\ntransfer.t_f = 1\n")
         out = tmp_path / "out"
         code = main(["simulate", "--engine", "grid", "--config", str(cfg),
                      "--out-dir", str(out)])
-        assert code == EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert np.isfinite(report["final_fidelity"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_negative_grid_dt_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
@@ -401,9 +401,10 @@ _NOISE = ["scan", "--kind", "noise"]
 
 # Every numeric config key: the command that reads it, the settings it runs
 # with (the interaction keys under each of the three schemes) and its exit
-# code at 1e308.  At 1e308 the interaction constants, the step and the scan
-# values pass every check and the run then fails numerically (exit 2);
-# every other key rejects the value (exit 1).
+# code at 1e308.  At 1e308 the interaction constants of a tilted-field
+# scheme, the step and the scan values pass every check and the run then
+# fails numerically (exit 2); the Raman scheme takes no interaction
+# constant, and every other key rejects the value (exit 1).
 _NUMERIC_KEYS = [
     ("transfer.depth_A", _TWOLEVEL, "", 1),
     ("transfer.n", _TWOLEVEL, "", 1),
@@ -415,7 +416,7 @@ _NUMERIC_KEYS = [
     ("interaction.g_uu", _TWOLEVEL, "transfer.scheme = so_direction", 2),
     ("interaction.g_dd", _TWOLEVEL, "transfer.scheme = so_direction", 2),
     ("interaction.g_ud", _TWOLEVEL, "transfer.scheme = so_direction_interacting", 2),
-    ("interaction.g_du", _TWOLEVEL, "transfer.scheme = raman", 2),
+    ("interaction.g_du", _TWOLEVEL, "transfer.scheme = raman", 1),
     ("grid.x_min", _GRID, "grid.points = 512", 1),
     ("grid.x_max", _GRID, "grid.points = 512", 1),
     ("grid.points", _GRID, "", 1),

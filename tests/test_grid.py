@@ -16,7 +16,6 @@ from socmorse.dynamics_grid import (
 from socmorse.errors import DomainError
 from socmorse.morse import position_moment
 from socmorse.pulse_design import design_scheme2
-from socmorse.acceptance import G_EFFECTIVE
 from grid_reference import SERIES, _observables, reference_evolve
 from helpers import constant_schedule
 
@@ -287,8 +286,6 @@ PARITY_CASES = {
     "raman": lambda ctx: (ctx.spec_raman, ctx.sched_raman),
     "so_direction": lambda ctx: (ctx.spec_tilt, ctx.sched_tilt),
     "so_direction_interacting": lambda ctx: (ctx.spec_interacting, ctx.sched_compensated),
-    "raman_interacting": lambda ctx: (replace(ctx.spec_raman, **G_EFFECTIVE),
-                                      ctx.sched_raman),
     "so_direction_wide_tilt": lambda ctx: _wide_tilt(ctx, ctx.spec_tilt),
     "so_direction_interacting_wide_tilt": lambda ctx: _wide_tilt(ctx, ctx.spec_interacting),
 }

@@ -90,6 +90,14 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="interaction"):
             quiet_spec(scheme=scheme, g21=g)
 
+    @pytest.mark.parametrize("name", ["g11", "g22", "g12", "g21"])
+    @pytest.mark.parametrize("g", [0.3, -1e-300])
+    def test_mean_field_needs_tilted_field(self, name, g):
+        with pytest.raises(DomainError, match="tilted-field"):
+            quiet_spec(scheme="raman", **{name: g})
+        for scheme in ("so_direction", "so_direction_interacting"):
+            assert quiet_spec(scheme=scheme, **{name: g}).interacting
+
     def test_short_operation_warns(self):
         with pytest.warns(AdiabaticityWarning):
             TransferSpec(morse=A8, t_f=10.0, c=0.1)
