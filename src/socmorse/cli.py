@@ -3,7 +3,10 @@
 Configuration files are flat ``section.key = value`` text (diff friendly,
 parsed without dependencies); all numeric CSV output uses 12 significant
 digits and LF line endings so identical configs and seeds give bit
-identical artifacts.
+identical artifacts.  Each artifact-writing command works out all its
+results first and then hands its files and scalars to one writer,
+:func:`_write_outputs`, which writes them, the config snapshot and
+``manifest.json``.
 """
 
 from __future__ import annotations
@@ -224,64 +227,55 @@ def build_transfer_spec(config: RunConfig) -> TransferSpec:
     )
 
 
-def design_for_spec(spec: TransferSpec, sample_count: int):
-    me = matrix_elements(spec.n, spec.l, spec.alpha, spec.morse)
-    if spec.scheme == "raman":
-        return me, design_scheme1(spec, me, sample_count)
-    if spec.scheme == "so_direction":
-        return me, design_scheme2(spec, me, sample_count)
-    return me, design_scheme2_interacting(spec, me, sample_count)
-
-
 # ---------------------------------------------------------------------------
-# output helpers
+# output
 
 
-class _Manifest:
-    def __init__(self, command, out_dir):
-        self.data = {
-            "command": command,
-            "version": __version__,
-            "artifacts": [],
-            "scalars": {},
-        }
-        self.out_dir = out_dir
-        self._t0 = time.time()
-
-    def path(self, name):
-        """Where artifact ``name`` goes.  The output directory is made here,
-        at the first write, so a run rejected before it leaves none."""
-        os.makedirs(self.out_dir, exist_ok=True)
-        return os.path.join(self.out_dir, name)
-
-    def add_artifact(self, path):
-        self.data["artifacts"].append(str(path))
-
-    def add_scalar(self, name, value):
-        self.data["scalars"][name] = value
-
-    def write(self, config):
-        """Write the snapshot and the manifest of the config the run used."""
-        snap = self.path("config_snapshot.txt")
-        with open(snap, "w", newline="\n") as fh:
-            fh.write(config_to_text(config))
-        self.add_artifact(snap)
-        self.data["config"] = {
-            key: list(val) if isinstance(val, tuple) else val
-            for key, val in _config_items(config)
-        }
-        self.data["wall_time_s"] = round(time.time() - self._t0, 3)
-        return write_json(self.path("manifest.json"), self.data)
+def _write_outputs(command, config: RunConfig, out_dir, started, writes, scalars):
+    """The one writer of what a command leaves behind: each ``(file name,
+    write)`` of ``writes`` in order, then ``config_snapshot.txt``, then
+    ``manifest.json`` listing them with ``scalars``.  ``write(path)`` returns
+    the path or paths it wrote; ``started`` is the command's
+    ``time.perf_counter()`` at its start.  The output directory is made here,
+    once the run has succeeded, so a run rejected before it leaves none.
+    Returns the artifact paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    artifacts = []
+    for name, write in writes:
+        paths = write(os.path.join(out_dir, name))
+        artifacts.extend([paths] if isinstance(paths, str) else paths)
+    snapshot = os.path.join(out_dir, "config_snapshot.txt")
+    with open(snapshot, "w", newline="\n") as fh:
+        fh.write(config_to_text(config))
+    artifacts.append(snapshot)
+    write_json(os.path.join(out_dir, "manifest.json"), {
+        "command": command,
+        "version": __version__,
+        "artifacts": artifacts,
+        "scalars": scalars,
+        "config": {key: list(val) if isinstance(val, tuple) else val
+                   for key, val in _config_items(config)},
+        "wall_time_s": round(time.perf_counter() - started, 3),
+    })
+    return artifacts
 
 
 # ---------------------------------------------------------------------------
 # pipeline steps shared by the commands
 
 
+_DESIGNS = {
+    "raman": design_scheme1,
+    "so_direction": design_scheme2,
+    "so_direction_interacting": design_scheme2_interacting,
+}
+
+
 def _design(config: RunConfig):
     """Spec, matrix elements and designed schedule of a config."""
     spec = build_transfer_spec(config)
-    return (spec, *design_for_spec(spec, config.sample_count))
+    me = matrix_elements(spec.n, spec.l, spec.alpha, spec.morse)
+    return spec, me, _DESIGNS[spec.scheme](spec, me, config.sample_count)
 
 
 def _twolevel_run(config: RunConfig, spec, me, schedule):
@@ -377,50 +371,37 @@ def cmd_inspect(config: RunConfig, out_dir=None):
 
 
 def cmd_design(config: RunConfig, out_dir):
-    manifest = _Manifest("design", out_dir)
+    started = time.perf_counter()
     spec, _, schedule = _design(config)
-    csv_path, sidecar = schedule.to_csv(manifest.path("schedule.csv"))
-    manifest.add_artifact(csv_path)
-    manifest.add_artifact(sidecar)
     ends = schedule.endpoint_summary()
-    manifest.add_scalar("delta_e", spec.delta_e)
-    manifest.add_scalar("b_start", ends["b_start"])
-    manifest.add_scalar("b_end", ends["b_end"])
-    manifest.add_scalar("max_abs_a", schedule.max_abs_a)
     print(f"boundary gap delta_E = {spec.delta_e:.6g}")
     print(f"{schedule.label_b} endpoints: {ends['b_start']:.6g} -> {ends['b_end']:.6g}")
     print(f"{schedule.label_a} endpoints: {ends['a_start']:.6g} -> {ends['a_end']:.6g} "
           f"(peak |{schedule.label_a}| = {schedule.max_abs_a:.6g})")
-    manifest.write(config)
-    print(f"wrote {csv_path}")
+    scalars = {"delta_e": spec.delta_e, "b_start": ends["b_start"],
+               "b_end": ends["b_end"], "max_abs_a": schedule.max_abs_a}
+    artifacts = _write_outputs("design", config, out_dir, started,
+                               [("schedule.csv", schedule.to_csv)], scalars)
+    print(f"wrote {artifacts[0]}")
     return EXIT_OK
 
 
 def cmd_simulate(config: RunConfig, engine: str, out_dir):
-    manifest = _Manifest(f"simulate:{engine}", out_dir)
+    started = time.perf_counter()
     spec, me, schedule = _design(config)
 
     if engine == "twolevel":
         traj = _twolevel_run(config, spec, me, schedule)
-        manifest.add_artifact(traj.to_csv(manifest.path("trajectory.csv"), stride=10))
-        fid = traj.final_fidelity
-        report = {
-            "engine": "twolevel",
-            "final_fidelity": fid,
-            "norm_drift": abs(float(traj.norm()[-1]) - 1.0),
-            "abs_S": abs(me.S),
-            "max_abs_a": schedule.max_abs_a,
-        }
+        writes = [("trajectory.csv", partial(traj.to_csv, stride=10))]
+        fid, norm = traj.final_fidelity, traj.norm()[-1]
+        report = {"abs_S": abs(me.S), "max_abs_a": schedule.max_abs_a}
     elif engine == "grid":
         rep, density = _grid_run(config, spec, schedule)
-        manifest.add_artifact(rep.to_csv(manifest.path("grid_report.csv")))
-        manifest.add_artifact(write_csv(manifest.path("final_density.csv"),
-                                        _DENSITY_HEADER, density))
-        fid = rep.final_fidelity
+        writes = [("grid_report.csv", rep.to_csv),
+                  ("final_density.csv",
+                   partial(write_csv, header=_DENSITY_HEADER, columns=density))]
+        fid, norm = rep.final_fidelity, rep.norm[-1]
         report = {
-            "engine": "grid",
-            "final_fidelity": fid,
-            "norm_drift": abs(float(rep.norm[-1]) - 1.0),
             "max_abs_tilt": rep.max_abs_tilt,
             "Pz_start": float(rep.Pz[0]),
             "Pz_end": float(rep.Pz[-1]),
@@ -430,15 +411,16 @@ def cmd_simulate(config: RunConfig, engine: str, out_dir):
     else:
         raise ConfigError(f"unknown engine {engine!r}")
 
-    manifest.add_artifact(write_json(manifest.path("report.json"), report))
-    manifest.add_scalar("final_fidelity", fid)
-    manifest.add_scalar("delta_e", spec.delta_e)
-    manifest.write(config)
+    report.update(engine=engine, final_fidelity=fid, norm_drift=abs(float(norm) - 1.0))
+    writes.append(("report.json", partial(write_json, data=report)))
+    _write_outputs(f"simulate:{engine}", config, out_dir, started, writes,
+                   {"final_fidelity": fid, "delta_e": spec.delta_e})
     print(f"final fidelity: {fid:.6f}")
     return EXIT_OK
 
 
 def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"):
+    started = time.perf_counter()
     if seed is not None:
         config = replace(config, seed=seed)
     if config.scheme == "raman":
@@ -451,38 +433,29 @@ def cmd_scan(config: RunConfig, kind: str, out_dir, seed=None, engine="twolevel"
     values = getattr(config, _SCAN_GRIDS[kind])
     if len(values) == 0:
         raise ConfigError("empty scan grid")
-    manifest = _Manifest(f"scan:{kind}", out_dir)
-    curves = []
+    writes, scalars, failed = [], {}, 0
     for suffix, cfg, spec, schedule in _curves(config):
         result = _scan(kind, engine, cfg, spec, schedule)
-        oracle = None  # rows: fidelity, standard error
+        write = result.to_csv
         if kind == "noise" and cfg.trajectories > 0:
-            oracle = np.full((2, len(values)), np.nan)
+            oracle = np.full((2, len(values)), np.nan)  # rows: fidelity, standard error
             for i, lam in enumerate(values):
                 oracle[:, i] = stochastic_oracle(spec, schedule, lam,
                                                  trajectories=cfg.trajectories,
                                                  seed=(cfg.seed, i))
-        curves.append((suffix, result, oracle))
-
-    failed = 0
-    for suffix, result, oracle in curves:  # every curve ran: now write them
-        path = manifest.path(f"scan_{kind}{suffix}.csv")
-        if oracle is None:
-            path = result.to_csv(path)
-        else:
-            path = write_csv(path, "lambda_prime,fidelity,oracle_fidelity,oracle_stderr",
-                             (result.values, result.fidelities, *oracle))
-        manifest.add_artifact(path)
+            write = partial(write_csv,
+                            header="lambda_prime,fidelity,oracle_fidelity,oracle_stderr",
+                            columns=(result.values, result.fidelities, *oracle))
+        writes.append((f"scan_{kind}{suffix}.csv", write))
         if kind == "systematic":
             curvature = result.curvature_at_zero()
             if curvature is not None:
-                manifest.add_scalar(f"curvature_at_zero{suffix}", curvature)
+                scalars[f"curvature_at_zero{suffix}"] = curvature
         failed += len(result.failures)
 
-    total = len(values) * len(curves)
-    manifest.add_scalar("points", total)
-    manifest.add_scalar("failed_points", failed)
-    manifest.write(config)
+    total = len(values) * len(writes)
+    scalars.update(points=total, failed_points=failed)
+    _write_outputs(f"scan:{kind}", config, out_dir, started, writes, scalars)
     if failed > 0.1 * total:
         print(f"scan failed on {failed}/{total} points", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -555,16 +528,14 @@ _FIGURES = {
 def cmd_reproduce(figure: str, out_dir):
     """Regenerate the datasets behind the reference figures from the
     canonical configuration."""
+    started = time.perf_counter()
     if figure not in _FIGURES:
         raise ConfigError(f"unknown figure {figure!r}; choose from {tuple(_FIGURES)}")
     config = RunConfig()
-    manifest = _Manifest(f"reproduce:{figure}", out_dir)
     tables, scalars = _FIGURES[figure](config)
-    for name, header, columns in tables:
-        manifest.add_artifact(write_csv(manifest.path(name), header, columns))
-    for name, value in scalars.items():
-        manifest.add_scalar(name, value)
-    manifest.write(config)
+    writes = [(name, partial(write_csv, header=header, columns=columns))
+              for name, header, columns in tables]
+    _write_outputs(f"reproduce:{figure}", config, out_dir, started, writes, scalars)
     print(f"wrote {figure} dataset to {out_dir}")
     return EXIT_OK
 
@@ -617,21 +588,24 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="path to a key=value config file")
+    def add_common(p):
+        p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out-dir", default="socmorse-output",
                        help="directory for artifacts (default: %(default)s)")
 
     p = sub.add_parser("inspect", help="print trap structure and matrix elements")
     p.add_argument("--config")
     p.add_argument("--out-dir", default=None)
+    p.set_defaults(run=lambda args, config: cmd_inspect(config, args.out_dir))
 
-    add_common(sub.add_parser("design", help="design a control schedule"))
+    p = sub.add_parser("design", help="design a control schedule")
+    add_common(p)
+    p.set_defaults(run=lambda args, config: cmd_design(config, args.out_dir))
 
     p = sub.add_parser("simulate", help="propagate a designed schedule")
     add_common(p)
     p.add_argument("--engine", choices=("twolevel", "grid"), default="twolevel")
+    p.set_defaults(run=lambda args, config: cmd_simulate(config, args.engine, args.out_dir))
 
     p = sub.add_parser("scan", help="robustness scans")
     add_common(p)
@@ -639,15 +613,19 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--engine", choices=("twolevel", "grid"), default="twolevel",
                    help="systematic scans can be spot-checked on the full grid")
+    p.set_defaults(run=lambda args, config: cmd_scan(config, args.kind, args.out_dir,
+                                                     seed=args.seed, engine=args.engine))
 
     p = sub.add_parser("reproduce", help="regenerate reference figure datasets")
     p.add_argument("--figure", choices=_FIGURES, required=True)
     p.add_argument("--out-dir", default="socmorse-output")
+    p.set_defaults(run=lambda args, config: cmd_reproduce(args.figure, args.out_dir))
 
     p = sub.add_parser("validate", help="run the acceptance suite")
     p.add_argument("--json", default=None, help="also write results as JSON")
     p.add_argument("--fast", action="store_true",
                    help="skip the slowest grid checks (not a full validation)")
+    p.set_defaults(run=lambda args, config: cmd_validate(args.json, args.fast))
     return parser
 
 
@@ -655,20 +633,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-        if args.command == "inspect":
-            return cmd_inspect(config, args.out_dir)
-        if args.command == "design":
-            return cmd_design(config, args.out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.engine, args.out_dir)
-        if args.command == "scan":
-            return cmd_scan(config, args.kind, args.out_dir, seed=args.seed,
-                            engine=args.engine)
-        if args.command == "reproduce":
-            return cmd_reproduce(args.figure, args.out_dir)
-        if args.command == "validate":
-            return cmd_validate(json_path=args.json, fast=args.fast)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args, config)
     except (NumericalFailureError, AccuracyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

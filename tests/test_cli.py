@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ transfer.alpha = 1.6
 transfer.t_f = 10
 design.c = 0.1
 """
+
+COARSE_GRID = "grid.points = 512\ngrid.dt = 0.01\n"
+
+# the two-curve case: a non-interacting twin, then the mean-field curve,
+# each with the stochastic oracle's columns in a noise scan
+INTERACTING_SCAN = ("transfer.scheme = so_direction_interacting\ntransfer.t_f = 4\n"
+                    "noise.lambda = -0.2:0.2:0.1\nnoise.lambda_prime = 0, 0.5\n"
+                    "noise.trajectories = 100\n")
 
 
 class TestConfigParsing:
@@ -90,18 +99,6 @@ class TestCommands:
         assert sidecar["endpoints"]["b_start"] == pytest.approx(2.85, abs=1e-9)
         assert sidecar["endpoints"]["b_end"] == pytest.approx(3.15, abs=1e-9)
         assert sidecar["delta_e"] == pytest.approx(0.15)
-        manifest = json.loads((out / "manifest.json").read_text())
-        emitted = {p.name for p in out.iterdir()} - {"manifest.json"}
-        listed = {path.rsplit("/", 1)[-1] for path in manifest["artifacts"]}
-        assert emitted == listed  # every emitted file is in the manifest
-
-    def test_design_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["design", "--out-dir", str(out1)]) == EXIT_OK
-        assert main(["design", "--out-dir", str(out2)]) == EXIT_OK
-        assert (out1 / "schedule.csv").read_bytes() == (out2 / "schedule.csv").read_bytes()
-        assert (out1 / "config_snapshot.txt").read_bytes() == \
-            (out2 / "config_snapshot.txt").read_bytes()
 
     def test_design_wide_gap_sidecar(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
@@ -230,21 +227,35 @@ class TestCommands:
         assert err.startswith("error:") and "t_f" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("kind, settings", [
-        ("systematic", "noise.lambda = -0.2:0.2:0.1\n"),
-        ("noise", "noise.lambda_prime = 0, 0.5\nnoise.trajectories = 100\n"),
-    ])
-    def test_scan_deterministic(self, tmp_path, kind, settings):
-        cfg = tmp_path / "scan.cfg"
-        cfg.write_text("transfer.scheme = so_direction_interacting\ntransfer.t_f = 4\n"
-                       + settings)
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out in outs:
-            assert main(["scan", "--config", str(cfg), "--kind", kind,
-                         "--out-dir", str(out)]) == EXIT_OK
-        for suffix in ("_noninteracting", "_interacting"):
-            name = f"scan_{kind}{suffix}.csv"
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    @pytest.mark.parametrize("command, settings", [
+        (["design"], ""),
+        (["simulate", "--engine", "twolevel"], COARSE_GRID),
+        (["simulate", "--engine", "grid"], COARSE_GRID),
+        (["scan", "--kind", "systematic"], INTERACTING_SCAN),
+        (["scan", "--kind", "noise"], INTERACTING_SCAN),
+        (["reproduce", "--figure", "fig2"], None),
+        (["reproduce", "--figure", "fig7"], None),
+    ], ids=["design", "simulate-twolevel", "simulate-grid", "scan-systematic",
+            "scan-noise", "reproduce-fig2", "reproduce-fig7"])
+    def test_outputs_listed_and_repeatable(self, tmp_path, command, settings):
+        """The files in --out-dir are exactly the manifest's artifacts, and a
+        second run leaves the same bytes and the same manifest, once the
+        wall time and the directory are taken out."""
+        if settings is not None:  # reproduce runs the canonical config
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(settings)
+            command = [*command, "--config", str(cfg)]
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main([*command, "--out-dir", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            files = {p.name: p.read_bytes() for p in out.iterdir()
+                     if p.name != "manifest.json"}
+            assert sorted(manifest["artifacts"]) == sorted(str(out / name) for name in files)
+            assert manifest.pop("wall_time_s") >= 0.0
+            manifest["artifacts"] = [Path(p).name for p in manifest["artifacts"]]
+            runs.append((files, manifest))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("trajectories", [50, -1])
     def test_too_few_trajectories_rejected_before_scan(self, tmp_path, capsys, trajectories):
